@@ -115,9 +115,9 @@ ablation-minmax] \
   --timeout-ms N        per-query deadline in milliseconds; a run past it\n\
                         fails with `deadline exceeded` plus per-phase\n\
                         time shares (default: no deadline; 0 is rejected)\n\
-  --retries N           retry budget (total attempts) for the recovery\n\
-                        layer: fragment replay, whole-run retry, stage\n\
-                        checkpoints (default 0 = fail-fast, no recovery)\n\
+  --retries N           retry budget (total attempts) for the whole-run\n\
+                        retry loop and stage checkpoints (default 0 =\n\
+                        fail-fast, no recovery)\n\
   --json DIR            also write BENCH_<figure>.json per measured\n\
                         figure into DIR (created if missing)\n\
   --profile DIR         run the span-traced query profiles (Q4A at dop\n\

@@ -809,24 +809,20 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
     /// `RetryPolicy`, and the wall-clock cost of an actually-recovered run.
     ///
     /// * `recovery-gate` — Q4A partition-parallel at the configured dop,
-    ///   retry-off vs retry-on with **no faults injected**. Retry-on
-    ///   routes every mesh source chain through a fragment supervisor (an
-    ///   extra channel hop plus a seam-gate lock per committed batch), so
-    ///   this cell prices the standing overhead of recoverability.
-    ///   Interleaved best-of; on a quiet multi-core box the two are at
-    ///   parity (the supervision cost is one channel hop and one
-    ///   uncontended lock per mesh-source batch), so CI holds retry-on
-    ///   within 1.5x of retry-off plus a 50 ms absolute floor — a full
-    ///   dop-wide query on a shared runner swings far more than the
-    ///   single-threaded kernel gates, and the loose bound catches
-    ///   regressions that make supervision a real data-path cost without
-    ///   tripping on scheduler noise.
+    ///   retry-off vs retry-on with **no faults injected**. Retry-on wraps
+    ///   the run in the whole-run retry loop and arms the progress
+    ///   watchdog (one extra thread that samples the operators' counters
+    ///   once per stall quantum), so this cell prices the standing
+    ///   overhead of recoverability. Interleaved best-of; the two should
+    ///   be at parity, and CI holds retry-on within 1.5x of retry-off
+    ///   plus a 50 ms absolute floor — a full dop-wide query on a shared
+    ///   runner swings far more than the single-threaded kernel gates.
     /// * `recovered-run` — the same query with a bounded `Error` fault on
     ///   a scan (fires exactly once, plan-wide), healed below a budget of
-    ///   3 attempts; wall clock vs the fault-free retry-off best.
-    ///   Correctness is asserted inline before any timing: healed rows
-    ///   must be byte-identical to the serial oracle and the run must
-    ///   report `recovered`.
+    ///   3 attempts by re-running the whole query; wall clock vs the
+    ///   fault-free retry-off best. Correctness is asserted inline before
+    ///   any timing: healed rows must be byte-identical to the serial
+    ///   oracle and the run must report `recovered`.
     pub fn recovery(&self) -> Result<FigureReport> {
         use sip_common::retry::RetryPolicy;
         use sip_engine::{
@@ -842,7 +838,10 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
         let expected = sip_engine::canonical(&execute_oracle(&phys)?);
         let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default())
             .map_err(|e| sip_common::SipError::Exec(format!("recovery: cannot partition: {e}")))?;
-        let retry = RetryPolicy::with_attempts(3);
+        let retry = RetryPolicy {
+            stall_quantum: Some(std::time::Duration::from_millis(250)),
+            ..RetryPolicy::with_attempts(3)
+        };
 
         let run = |opts: ExecOptions| {
             sip_engine::run_with_recovery(opts, |o| {
@@ -887,7 +886,6 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
         let mut on_best = f64::INFINITY;
         let mut healed_best = f64::INFINITY;
         let mut healed_attempts = 1u32;
-        let mut fragment_retries = 0u64;
         for _ in 0..reps {
             let mut o = self.config.exec_options()?;
             o.retry = None;
@@ -909,8 +907,6 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
             let out = run(o)?;
             healed_best = healed_best.min(t.elapsed().as_secs_f64());
             healed_attempts = healed_attempts.max(out.metrics.attempts);
-            fragment_retries =
-                fragment_retries.max(out.metrics.per_op.iter().map(|m| m.retries).sum::<u64>());
         }
 
         let n_rows = expected.len() as u64;
@@ -944,21 +940,22 @@ best of {reps})"
                     "healed",
                     healed_best,
                     format!(
-                        "{:.2}x fault-free, run attempts {healed_attempts}, \
-fragment retries {fragment_retries}",
+                        "{:.2}x fault-free, run attempts {healed_attempts}",
                         healed_best / off_best
                     ),
                 ),
             ],
             notes: vec![
                 "recovery-gate = Q4A partition-parallel, no faults, retry-off vs retry-on \
-(fragment supervisors + seam gating armed), interleaved best-of; the on/off ratio bounds \
-the standing cost of recoverability — parity on a quiet box, CI-guarded at 1.5x plus a \
-50 ms floor to ride out scheduler noise on oversubscribed runners."
+(whole-run retry loop + progress watchdog armed, 250 ms stall quantum), interleaved \
+best-of; the on/off ratio bounds the standing cost of recoverability — parity expected, \
+CI-guarded at 1.5x plus a 50 ms floor to ride out scheduler noise on oversubscribed \
+runners."
                     .into(),
                 "recovered-run = the same query with a bounded Error fault on a scan (fires \
-once), healed below a 3-attempt budget; rows byte-checked against the serial oracle before \
-timing. attempts counts whole-run retries (1 = healed in place by fragment replay)."
+once), healed below a 3-attempt budget by re-running the whole query; rows byte-checked \
+against the serial oracle before timing. attempts counts whole-run executions (2 = one failed \
+attempt plus the healing re-run)."
                     .into(),
             ],
         })

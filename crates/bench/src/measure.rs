@@ -30,10 +30,9 @@ pub struct ExperimentConfig {
     /// deadline. A run past the deadline fails with `deadline exceeded`
     /// plus its per-phase time shares.
     pub timeout_ms: Option<u64>,
-    /// Retry budget (`--retries`): total attempts per failure site for
-    /// the recovery layer — fragment replay, whole-run retry, and stage
-    /// checkpoints all draw from this policy. 0 disables recovery
-    /// (fail-fast, the pre-recovery behavior).
+    /// Retry budget (`--retries`): total attempts of the whole-run retry
+    /// loop (adaptive runs draw their stage-checkpoint retries from the
+    /// same policy). 0 disables recovery (fail-fast).
     pub retries: u32,
 }
 

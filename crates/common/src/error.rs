@@ -6,10 +6,10 @@ use std::fmt;
 pub type Result<T, E = SipError> = std::result::Result<T, E>;
 
 /// How an attributed execution failure came about. Ordered roughly by
-/// how much the class says about root cause: a `Panic` or `Error` *is*
-/// the root cause; `Disconnect` and `Cancelled` are symptoms of a
-/// failure elsewhere and lose the end-of-query precedence race against
-/// primary classes (see `sip-engine`'s error slots).
+/// how much the class says about root cause: a `Panic`, `Error` or
+/// `Stall` *is* the root cause; `Disconnect` and `Cancelled` are symptoms
+/// of a failure elsewhere and lose the end-of-query precedence race
+/// against primary classes (see `sip-engine`'s error slots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecFailure {
     /// The operator's thread panicked; the payload was contained by
@@ -17,6 +17,10 @@ pub enum ExecFailure {
     Panic,
     /// The operator returned an error of its own.
     Error,
+    /// No batch crossed any plan edge for a whole stall quantum (see
+    /// `RetryPolicy::stall_quantum`): the run's progress watchdog gave up
+    /// on it.
+    Stall,
     /// An input channel disconnected without a clean `Eof` — the
     /// upstream operator died. Secondary: the upstream failure is the
     /// story.
@@ -32,6 +36,7 @@ impl ExecFailure {
         match self {
             ExecFailure::Panic => "panic",
             ExecFailure::Error => "error",
+            ExecFailure::Stall => "stall",
             ExecFailure::Disconnect => "disconnect",
             ExecFailure::Cancelled => "cancelled",
         }
@@ -40,7 +45,10 @@ impl ExecFailure {
     /// Does this class identify the root cause (vs. a downstream
     /// symptom of a failure elsewhere)?
     pub fn is_primary(&self) -> bool {
-        matches!(self, ExecFailure::Panic | ExecFailure::Error)
+        matches!(
+            self,
+            ExecFailure::Panic | ExecFailure::Error | ExecFailure::Stall
+        )
     }
 }
 
@@ -77,7 +85,7 @@ pub enum SipError {
         kind: String,
         /// The partition the operator ran in, when partition-parallel.
         partition: Option<u32>,
-        /// Failure class: panic, error, disconnect, or cancellation.
+        /// Failure class: panic, error, stall, disconnect, or cancellation.
         class: ExecFailure,
     },
     /// Simulated-network failure (unknown site, link misconfiguration, ...).
@@ -140,8 +148,8 @@ impl SipError {
         }
     }
 
-    /// Does this error identify a root cause (an attributed panic or
-    /// operator error, or any non-`ExecAt` error)? Disconnects and
+    /// Does this error identify a root cause (an attributed panic,
+    /// operator error or stall, or any non-`ExecAt` error)? Disconnects and
     /// cancellations are symptoms and report `false`.
     pub fn is_primary(&self) -> bool {
         match self {

@@ -3,10 +3,13 @@
 //! [`ExecFailure`] classes.
 //!
 //! One policy type serves every recovery scope in the system — the
-//! engine's partition-fragment replay, the run-level retry in
-//! `sip-parallel`, `AdaptiveExec`'s stage-checkpoint recovery, and the
-//! `sip-net` last-acked-batch link retry — so budgets, backoff curves,
-//! and exhaustion reporting behave identically everywhere.
+//! engine's whole-run retry loop (`sip_engine::run_with_recovery`),
+//! `AdaptiveExec`'s stage-checkpoint recovery, and the `sip-net`
+//! last-acked-batch link retry — so budgets, backoff curves, and
+//! exhaustion reporting behave identically everywhere. The policy also
+//! arms the engine's per-run progress watchdog
+//! ([`RetryPolicy::stall_quantum`]), which turns a wedged run into a
+//! retryable [`ExecFailure::Stall`].
 //!
 //! Jitter is *deterministic*: a splitmix64 hash of `(jitter_seed,
 //! attempt)` decides where in `[backoff/2, backoff)` a delay lands, so
@@ -35,14 +38,11 @@ pub struct RetryPolicy {
     /// Seed for the deterministic jitter hash. Two scopes with the same
     /// seed and attempt number sleep identically.
     pub jitter_seed: u64,
-    /// Retry attributed panics (contained by `catch_unwind`).
-    pub retry_panic: bool,
-    /// Retry ordinary operator errors.
-    pub retry_error: bool,
-    /// When set, a fragment with no batch progress for this long gets a
-    /// speculative duplicate attempt (first finisher wins). `None`
-    /// disables straggler speculation.
-    pub speculation_quantum: Option<Duration>,
+    /// When set, the engine runs a progress watchdog beside each
+    /// attempt: if no batch crosses any plan edge for this long, the
+    /// attempt fails with a retryable [`ExecFailure::Stall`]. `None`
+    /// leaves stalls to deadlines and explicit cancellation.
+    pub stall_quantum: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -52,9 +52,7 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(100),
             jitter_seed: 0x51_AE5,
-            retry_panic: true,
-            retry_error: true,
-            speculation_quantum: None,
+            stall_quantum: None,
         }
     }
 }
@@ -69,35 +67,11 @@ impl RetryPolicy {
         }
     }
 
-    /// Fail-fast: one attempt, no retries. Useful as an explicit "retry
-    /// wiring on, budget off" control in benchmarks.
-    pub fn fail_fast() -> Self {
-        RetryPolicy::with_attempts(1)
-    }
-
-    /// Enable straggler speculation after `quantum` without progress.
-    pub fn with_speculation(mut self, quantum: Duration) -> Self {
-        self.speculation_quantum = Some(quantum);
-        self
-    }
-
     /// Derive a policy with a scope-specific seed (e.g. per partition),
     /// so concurrent scopes jitter independently but deterministically.
     pub fn reseeded(mut self, salt: u64) -> Self {
         self.jitter_seed = splitmix64(self.jitter_seed ^ salt);
         self
-    }
-
-    /// Is a failure of `class` eligible for retry under this policy?
-    /// Cancellation and deadline expiry ([`ExecFailure::Cancelled`]) are
-    /// never retried — the user asked the query to stop. Disconnects are
-    /// secondary symptoms; the primary failure decides.
-    pub fn retries(&self, class: ExecFailure) -> bool {
-        match class {
-            ExecFailure::Panic => self.retry_panic,
-            ExecFailure::Error => self.retry_error,
-            ExecFailure::Disconnect | ExecFailure::Cancelled => false,
-        }
     }
 
     /// The delay before retry number `retry` (1-based: the delay taken
@@ -138,14 +112,12 @@ impl RetryPolicy {
                 self.max_backoff, self.base_backoff
             )));
         }
-        if let Some(q) = self.speculation_quantum {
-            if q.is_zero() {
-                return Err(SipError::Config(
-                    "RetryPolicy: speculation_quantum of 0ns would duplicate every fragment \
-                     immediately; give it a duration or use None"
-                        .into(),
-                ));
-            }
+        if self.stall_quantum.is_some_and(|q| q.is_zero()) {
+            return Err(SipError::Config(
+                "RetryPolicy: stall_quantum of 0ns would declare every run stalled \
+                 immediately; give it a duration or use None"
+                    .into(),
+            ));
         }
         Ok(())
     }
@@ -171,21 +143,13 @@ impl RetryState {
         self.attempt
     }
 
-    /// The policy this state enforces.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The current attempt failed with `class`: if the policy retries
-    /// that class and budget remains, advance the attempt counter and
+    /// The current attempt failed with `class`: if the class is
+    /// retryable (a panic, error or stall) and budget remains, advance the attempt counter and
     /// return the backoff to sleep before the next attempt. `None`
     /// means give up (non-retryable class, or budget exhausted — use
     /// [`RetryState::exhausted`] to tell which when reporting).
     pub fn again(&mut self, class: ExecFailure) -> Option<Duration> {
-        if !self.policy.retries(class) || is_exhausted_class(class) {
-            return None;
-        }
-        if self.attempt >= self.policy.max_attempts {
+        if !retryable(class) || self.attempt >= self.policy.max_attempts {
             return None;
         }
         let delay = self.policy.backoff(self.attempt);
@@ -196,7 +160,7 @@ impl RetryState {
     /// Did the scope run out of budget (as opposed to hitting a
     /// non-retryable class)?
     pub fn exhausted(&self, class: ExecFailure) -> bool {
-        self.policy.retries(class) && self.attempt >= self.policy.max_attempts
+        retryable(class) && self.attempt >= self.policy.max_attempts
     }
 
     /// Decorate `err` as the final, budget-exhausted failure of this
@@ -209,10 +173,13 @@ impl RetryState {
     }
 }
 
-/// `Cancelled` can also mean the *global* run is shutting down; never
-/// loop on it even if a policy were misconfigured to allow it.
-fn is_exhausted_class(class: ExecFailure) -> bool {
-    matches!(class, ExecFailure::Cancelled)
+/// Is a failure of `class` retried under a policy? Exactly the root
+/// causes are: panics, operator errors and stalls. Cancellation and
+/// deadline expiry ([`ExecFailure::Cancelled`]) never are — the user
+/// asked the query to stop — and a disconnect is a symptom whose primary
+/// failure decides.
+fn retryable(class: ExecFailure) -> bool {
+    class.is_primary()
 }
 
 /// Append the exhaustion marker to an error's message, preserving the
@@ -349,17 +316,14 @@ mod tests {
         assert_eq!(s.again(ExecFailure::Cancelled), None);
         assert_eq!(s.again(ExecFailure::Disconnect), None);
         assert!(!s.exhausted(ExecFailure::Cancelled));
-        let mut no_panic = RetryState::new(RetryPolicy {
-            retry_panic: false,
-            ..RetryPolicy::with_attempts(10)
-        });
-        assert_eq!(no_panic.again(ExecFailure::Panic), None);
-        assert!(no_panic.again(ExecFailure::Error).is_some());
+        for class in [ExecFailure::Panic, ExecFailure::Error, ExecFailure::Stall] {
+            assert!(s.again(class).is_some(), "{class:?} must be retried");
+        }
     }
 
     #[test]
     fn fail_fast_policy_never_retries() {
-        let mut s = RetryState::new(RetryPolicy::fail_fast());
+        let mut s = RetryState::new(RetryPolicy::with_attempts(1));
         assert_eq!(s.again(ExecFailure::Error), None);
         assert!(s.exhausted(ExecFailure::Error));
     }
@@ -377,10 +341,13 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(inverted.validate().unwrap_err().layer(), "config");
-        let zero_quantum = RetryPolicy::default().with_speculation(Duration::ZERO);
+        let zero_quantum = RetryPolicy {
+            stall_quantum: Some(Duration::ZERO),
+            ..RetryPolicy::default()
+        };
         assert_eq!(zero_quantum.validate().unwrap_err().layer(), "config");
         assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy::fail_fast().validate().is_ok());
+        assert!(RetryPolicy::with_attempts(1).validate().is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sip_common::error::ExecFailure;
 use sip_common::retry::RetryPolicy;
 use sip_common::trace::{OpTracer, TraceLevel};
 use sip_common::{AttrId, Batch, FxHashMap, FxHashSet, OpId, SipError};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,11 +182,12 @@ pub struct ExecOptions {
     /// Injected faults for chaos testing ([`FaultPlan::none`] by
     /// default — the per-batch check is two branches when empty).
     pub faults: FaultPlan,
-    /// Recovery policy. `None` (the default) keeps PR 9's fail-fast
-    /// behavior: the first failure kills the query. `Some(policy)`
-    /// enables the recovery layer — fragment replay below shuffle
-    /// seams, run-level retry, stage-checkpoint recovery, and (when the
-    /// policy carries a `speculation_quantum`) straggler speculation.
+    /// Recovery policy. `None` (the default) is fail-fast: the first
+    /// failure kills the query. `Some(policy)` lets the whole-run retry
+    /// loop ([`crate::run_with_recovery`]) re-run the query on panics,
+    /// errors and stalls, lets `AdaptiveExec` retry stage 2 from its
+    /// checkpoint, and — when the policy sets a `stall_quantum` — arms
+    /// the per-run progress watchdog.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -340,13 +341,10 @@ pub struct ExecContext {
     /// failure (or deadline, or an explicit cancel); every operator
     /// observes it once per batch and winds down.
     pub cancel: CancelToken,
-    /// First-error slots. `primary` holds root causes (operator panics
-    /// and errors); `secondary` holds symptoms (disconnects,
-    /// cancellation errors) that only matter when no root cause was
-    /// recorded — a consumer can observe its input channel die *before*
-    /// the failing producer's wrapper records the panic, and the query
-    /// error must name the panic, not the hangup.
-    errors: Mutex<ErrorSlots>,
+    /// The first error of each rank (see [`ExecContext::fail`]).
+    errors: Mutex<[Option<SipError>; 3]>,
+    /// Every thread this run spawned, counted in and out.
+    pub threads: ThreadLedger,
     collectors: Mutex<FxHashMap<(u32, usize), Box<dyn RowCollector>>>,
     /// Shuffle-mesh producer channels, `(mesh, writer)` → one bounded
     /// `Sender` per consumer partition, in partition order. Built from the
@@ -367,12 +365,56 @@ pub struct ExecContext {
 /// Per-mesh channel endpoints keyed by `(mesh, writer-or-partition)`.
 type MeshEndpoints<T> = FxHashMap<(u32, u32), Vec<T>>;
 
-/// First-error storage with root-cause precedence (see
-/// [`ExecContext::fail`]).
+/// Per-run thread accounting. The executor counts each thread it spawns;
+/// each thread counts itself in on entry and out through a drop guard
+/// in its own body. Because the thread does its own counting, a balanced
+/// ledger (`started == spawned`, `live == 0` once the run returns) shows
+/// that every thread really ran and really finished — not merely that a
+/// handle was created and joined.
 #[derive(Debug, Default)]
-struct ErrorSlots {
-    primary: Option<SipError>,
-    secondary: Option<SipError>,
+pub struct ThreadLedger {
+    spawned: AtomicU64,
+    started: AtomicU64,
+    live: AtomicU64,
+}
+
+impl ThreadLedger {
+    /// Count one thread the executor is spawning (spawner side).
+    pub(crate) fn count_spawn(&self) {
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count the calling thread in; the returned guard counts it out when
+    /// the thread body ends, by return or by unwind.
+    pub(crate) fn enter(&self) -> LiveThread<'_> {
+        self.started.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_add(1, Ordering::Relaxed);
+        LiveThread(self)
+    }
+
+    /// Threads spawned so far.
+    pub fn spawned(&self) -> u64 {
+        self.spawned.load(Ordering::Relaxed)
+    }
+
+    /// Threads that entered their bodies so far.
+    pub fn started(&self) -> u64 {
+        self.started.load(Ordering::Relaxed)
+    }
+
+    /// Threads currently inside their bodies.
+    pub fn live(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
+    }
+}
+
+/// Drop guard of one counted thread (see [`ThreadLedger::enter`]).
+pub(crate) struct LiveThread<'a>(&'a ThreadLedger);
+
+impl Drop for LiveThread<'_> {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl ExecContext {
@@ -420,41 +462,12 @@ impl ExecContext {
             options,
             partitions,
             cancel,
-            errors: Mutex::new(ErrorSlots::default()),
+            errors: Mutex::new([None, None, None]),
+            threads: ThreadLedger::default(),
             collectors: Mutex::new(FxHashMap::default()),
             shuffle_tx: Mutex::new(shuffle_tx),
             shuffle_rx: Mutex::new(shuffle_rx),
             mesh_writers_left,
-        })
-    }
-
-    /// Build an isolated *fragment view* of this context for one
-    /// recovery attempt: same plan and partition structure, but a fresh
-    /// metrics hub, cancel token, error slots, and collectors, the
-    /// caller's taps (frozen per-attempt filter copies), and no shuffle
-    /// meshes — fragment members are stateless chain operators whose
-    /// output the recovery supervisor forwards across the mesh seam
-    /// itself. The view's options are a [`ExecOptions::fresh_clone`]
-    /// with the deadline cleared: the *global* token enforces the run
-    /// deadline (its expiry tears the seam down), and a per-view
-    /// deadline would restart the clock on every attempt.
-    pub(crate) fn fragment_view(self: &Arc<Self>, taps: Vec<FilterTap>) -> Arc<ExecContext> {
-        let n = self.plan.nodes.len();
-        debug_assert_eq!(taps.len(), n);
-        let mut options = self.options.fresh_clone();
-        options.deadline = None;
-        Arc::new(ExecContext {
-            hub: MetricsHub::with_trace(n, options.trace_level),
-            taps,
-            plan: Arc::clone(&self.plan),
-            options,
-            partitions: self.partitions.clone(),
-            cancel: CancelToken::new(),
-            errors: Mutex::new(ErrorSlots::default()),
-            collectors: Mutex::new(FxHashMap::default()),
-            shuffle_tx: Mutex::new(FxHashMap::default()),
-            shuffle_rx: Mutex::new(FxHashMap::default()),
-            mesh_writers_left: FxHashMap::default(),
         })
     }
 
@@ -470,30 +483,36 @@ impl ExecContext {
         )
     }
 
-    /// Record a failure and trip the cancellation token. Root causes
-    /// (panics, operator errors, anything non-`ExecAt`) land in the
-    /// primary slot; disconnects and cancellation errors — symptoms of a
-    /// failure elsewhere — land in the secondary slot and only surface
-    /// when nothing primary was recorded. First error per slot wins.
+    /// Record a failure and trip the cancellation token. The first error
+    /// of each rank is kept; ranks order errors by how close they are to
+    /// the cause:
+    ///
+    /// 1. Root causes (panics, operator errors, stalls, anything
+    ///    non-`ExecAt`). A consumer can see its input channel die
+    ///    *before* the failing producer's wrapper records the panic; the
+    ///    query error must name the panic, not the hangup.
+    /// 2. Cancellations (deadline, explicit cancel, or the token tripped
+    ///    by a root cause). An operator that observes the token exits and
+    ///    drops its output channel before its wrapper records the
+    ///    `Cancelled` error, so on a busy machine its consumer routinely
+    ///    records a disconnect first; the query error must still say
+    ///    "deadline exceeded".
+    /// 3. Disconnects: pure symptoms, reported only when nothing else was.
     pub fn fail(&self, e: SipError) {
         let reason = e.to_string();
-        {
-            let mut slots = self.errors.lock();
-            let slot = if e.is_primary() {
-                &mut slots.primary
-            } else {
-                &mut slots.secondary
-            };
-            slot.get_or_insert(e);
-        }
+        let rank = match e.exec_class() {
+            Some(ExecFailure::Cancelled) => 1,
+            Some(ExecFailure::Disconnect) => 2,
+            _ => 0,
+        };
+        self.errors.lock()[rank].get_or_insert(e);
         self.cancel.cancel(reason);
     }
 
-    /// The error this run should report, if any: the first root cause,
-    /// else the first symptom.
+    /// The error this run should report, if any: the first error of the
+    /// highest rank recorded (see [`ExecContext::fail`]).
     pub fn take_error(&self) -> Option<SipError> {
-        let mut slots = self.errors.lock();
-        slots.primary.take().or_else(|| slots.secondary.take())
+        self.errors.lock().iter_mut().find_map(Option::take)
     }
 
     /// Per-batch cancellation check for operator loops: returns an

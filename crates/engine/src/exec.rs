@@ -22,8 +22,14 @@
 //!   context's error slots ([`ExecContext::fail`]) and trip the shared
 //!   [`sip_common::CancelToken`]; every other operator observes the token
 //!   once per batch and winds down promptly. Root causes (panics,
-//!   operator errors) take precedence over the disconnect/cancellation
-//!   symptoms they trigger, so the reported error names the culprit.
+//!   operator errors, stalls) take precedence over the disconnect and
+//!   cancellation symptoms they trigger, so the reported error names the
+//!   culprit.
+//!
+//! With a retry policy that sets a `stall_quantum`, a progress watchdog
+//! runs beside the operators and turns a run in which no batch moves for
+//! a whole quantum into a retryable [`ExecFailure::Stall`]. Every thread
+//! a run spawns is counted in its [`crate::context::ThreadLedger`].
 
 use crate::context::{ExecContext, ExecOptions, Msg};
 use crate::metrics::ExecMetrics;
@@ -34,8 +40,11 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use sip_common::error::ExecFailure;
 use sip_common::{OpId, Result, Row, SipError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The outcome of one query execution.
 #[derive(Debug)]
@@ -97,88 +106,148 @@ fn with_deadline_detail(e: SipError, metrics: &ExecMetrics) -> SipError {
     }
 }
 
-/// Spawn one operator thread against `ctx` — the global run context, or
-/// a recovery fragment view (the recovery layer replays *the same
-/// operator implementations* it supervises, so a replayed fragment is
-/// byte-identical to a clean run by construction).
+/// Spawn a thread of this run that counts itself in the run's
+/// [`crate::context::ThreadLedger`] for as long as `body` runs.
+fn spawn_counted(
+    ctx: &Arc<ExecContext>,
+    name: String,
+    body: impl FnOnce(&Arc<ExecContext>) + Send + 'static,
+) -> JoinHandle<()> {
+    ctx.threads.count_spawn();
+    let thread_ctx = Arc::clone(ctx);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let _live = thread_ctx.threads.enter();
+            body(&thread_ctx);
+        })
+        .expect("spawn run thread")
+}
+
+/// Spawn one operator thread against `ctx`.
 ///
 /// Contains panics: an uncontained panic closes this thread's channels,
 /// which the consumer would otherwise have no way to distinguish from a
 /// clean EOF. The channel endpoints are owned by the closure, so they
 /// drop during the unwind either way — what `catch_unwind` buys is the
 /// attributed error recorded *before* anyone can misread the hangup.
-pub(crate) fn spawn_operator(
+fn spawn_operator(
     ctx: &Arc<ExecContext>,
     monitor: &Arc<dyn ExecMonitor>,
     op: OpId,
     mut ins: Vec<Receiver<Msg>>,
     out: Sender<Msg>,
-) -> std::thread::JoinHandle<()> {
-    let ctx = Arc::clone(ctx);
+) -> JoinHandle<()> {
     let monitor = Arc::clone(monitor);
     let kind_name = ctx.plan.node(op).kind.name();
-    std::thread::Builder::new()
-        .name(format!("sip-{op}-{kind_name}"))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| match &ctx.plan.node(op).kind {
-                PhysKind::Scan { .. } => operators::scan::run_scan(&ctx, op, out),
-                PhysKind::ExternalSource { .. } => operators::scan::run_external(&ctx, op, out),
-                PhysKind::Filter { .. } => {
-                    operators::stateless::run_filter(&ctx, op, ins.remove(0), out)
-                }
-                PhysKind::Project { .. } => {
-                    operators::stateless::run_project(&ctx, op, ins.remove(0), out)
-                }
-                PhysKind::HashJoin { .. } => {
-                    let right = ins.remove(1);
-                    let left = ins.remove(0);
-                    operators::hash_join::run_hash_join(&ctx, &monitor, op, left, right, out)
-                }
-                PhysKind::Aggregate { .. } => {
-                    operators::aggregate::run_aggregate(&ctx, &monitor, op, ins.remove(0), out)
-                }
-                PhysKind::Distinct => {
-                    operators::aggregate::run_distinct(&ctx, &monitor, op, ins.remove(0), out)
-                }
-                PhysKind::SemiJoin { .. } => {
-                    let build = ins.remove(1);
-                    let probe = ins.remove(0);
-                    operators::semi_join::run_semi_join(&ctx, &monitor, op, probe, build, out)
-                }
-                PhysKind::Exchange { .. } => {
-                    operators::exchange::run_exchange(&ctx, op, ins.remove(0), out)
-                }
-                PhysKind::Merge => operators::exchange::run_merge(&ctx, op, ins, out),
-                PhysKind::ShuffleWrite { .. } => {
-                    operators::shuffle::run_shuffle_write(&ctx, &monitor, op, ins.remove(0), out)
-                }
-                PhysKind::ShuffleRead { .. } => {
-                    operators::shuffle::run_shuffle_read(&ctx, op, ins, out)
-                }
-            }));
-            match result {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    // Attribute bare exec errors to this operator;
-                    // other layers (expr, net, ...) and already-
-                    // attributed errors pass through unchanged.
-                    let e = match e {
-                        SipError::Exec(m) => ctx.attributed(op, m, ExecFailure::Error),
-                        other => other,
-                    };
-                    ctx.fail(e);
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    ctx.fail(ctx.attributed(
-                        op,
-                        format!("operator thread panicked: {msg}"),
-                        ExecFailure::Panic,
-                    ));
-                }
+    spawn_counted(ctx, format!("sip-{op}-{kind_name}"), move |ctx| {
+        let result = catch_unwind(AssertUnwindSafe(|| match &ctx.plan.node(op).kind {
+            PhysKind::Scan { .. } => operators::scan::run_scan(ctx, op, out),
+            PhysKind::ExternalSource { .. } => operators::scan::run_external(ctx, op, out),
+            PhysKind::Filter { .. } => {
+                operators::stateless::run_filter(ctx, op, ins.remove(0), out)
             }
-        })
-        .expect("spawn operator thread")
+            PhysKind::Project { .. } => {
+                operators::stateless::run_project(ctx, op, ins.remove(0), out)
+            }
+            PhysKind::HashJoin { .. } => {
+                let right = ins.remove(1);
+                let left = ins.remove(0);
+                operators::hash_join::run_hash_join(ctx, &monitor, op, left, right, out)
+            }
+            PhysKind::Aggregate { .. } => {
+                operators::aggregate::run_aggregate(ctx, &monitor, op, ins.remove(0), out)
+            }
+            PhysKind::Distinct => {
+                operators::aggregate::run_distinct(ctx, &monitor, op, ins.remove(0), out)
+            }
+            PhysKind::SemiJoin { .. } => {
+                let build = ins.remove(1);
+                let probe = ins.remove(0);
+                operators::semi_join::run_semi_join(ctx, &monitor, op, probe, build, out)
+            }
+            PhysKind::Exchange { .. } => {
+                operators::exchange::run_exchange(ctx, op, ins.remove(0), out)
+            }
+            PhysKind::Merge => operators::exchange::run_merge(ctx, op, ins, out),
+            PhysKind::ShuffleWrite { .. } => {
+                operators::shuffle::run_shuffle_write(ctx, &monitor, op, ins.remove(0), out)
+            }
+            PhysKind::ShuffleRead { .. } => operators::shuffle::run_shuffle_read(ctx, op, ins, out),
+        }));
+        match result {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                // Attribute bare exec errors to this operator;
+                // other layers (expr, net, ...) and already-
+                // attributed errors pass through unchanged.
+                let e = match e {
+                    SipError::Exec(m) => ctx.attributed(op, m, ExecFailure::Error),
+                    other => other,
+                };
+                ctx.fail(e);
+            }
+            Err(payload) => {
+                let msg = panic_message(payload);
+                ctx.fail(ctx.attributed(
+                    op,
+                    format!("operator thread panicked: {msg}"),
+                    ExecFailure::Panic,
+                ));
+            }
+        }
+    })
+}
+
+/// A count that moves whenever a batch crosses a plan edge: received
+/// batches (`batches_in`, which scans also count for the chunks they
+/// read) plus emitted rows (`rows_out`, which also covers the root's edge
+/// to the result drain). Both are counters the operators keep anyway.
+fn progress(ctx: &ExecContext) -> u64 {
+    ctx.hub
+        .ops
+        .iter()
+        .map(|m| m.batches_in.load(Ordering::Relaxed) + m.rows_out.load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Spawn the run's progress watchdog. Once per `quantum` it samples
+/// [`progress`]; if nothing moved since the previous sample, it records a
+/// primary [`ExecFailure::Stall`] (which trips the run's token) and
+/// exits, leaving the heal to the whole-run retry loop. It also exits when
+/// the run is cancelled or when `done` hangs up (the root drain ended).
+///
+/// A run's silent stretches — a long CPU phase that neither receives nor
+/// emits a batch — must stay below the quantum, or the watchdog reads
+/// them as stalls.
+fn spawn_watchdog(
+    ctx: &Arc<ExecContext>,
+    quantum: Duration,
+    done: mpsc::Receiver<()>,
+) -> JoinHandle<()> {
+    spawn_counted(ctx, "sip-watchdog".into(), move |ctx| {
+        let mut last = progress(ctx);
+        while let Err(RecvTimeoutError::Timeout) = done.recv_timeout(quantum) {
+            if ctx.cancel.is_cancelled() {
+                return;
+            }
+            let now = progress(ctx);
+            if now == last {
+                let unfinished: Vec<String> = (0..ctx.hub.ops.len())
+                    .filter(|&i| !ctx.hub.ops[i].finished.load(Ordering::Relaxed))
+                    .map(|i| i.to_string())
+                    .collect();
+                let message = format!(
+                    "progress watchdog: no batch crossed any plan edge for {quantum:?} \
+                     (unfinished ops: {})",
+                    unfinished.join(", ")
+                );
+                ctx.fail(ctx.attributed(ctx.plan.root, message, ExecFailure::Stall));
+                return;
+            }
+            last = now;
+        }
+    })
 }
 
 /// Execute with a caller-constructed context — used by the distributed
@@ -204,30 +273,9 @@ pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Resu
         .take()
         .expect("root receiver present");
 
-    // Recovery: below every shuffle-mesh writer, the stateless source
-    // chain (`Scan → Filter/Project*`) is a replayable *fragment*. With a
-    // retry policy installed those operators do not spawn here — each
-    // fragment gets a supervisor thread that re-executes the chain in
-    // isolated views until it delivers, committing batches exactly once
-    // at the writer-input seam.
-    let fragments = if ctx.options.retry.is_some() {
-        crate::recovery::fragments(&plan)
-    } else {
-        Vec::new()
-    };
-    let mut fragment_member = vec![false; plan.nodes.len()];
-    for frag in &fragments {
-        for op in &frag.ops {
-            fragment_member[op.index()] = true;
-        }
-    }
-
-    let mut handles = Vec::with_capacity(plan.nodes.len());
+    let mut handles = Vec::with_capacity(plan.nodes.len() + 1);
     for node in &plan.nodes {
         let op = node.id;
-        if fragment_member[op.index()] {
-            continue;
-        }
         let out = senders[op.index()].take().expect("sender unused");
         let ins: Vec<Receiver<Msg>> = node
             .inputs
@@ -236,19 +284,15 @@ pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Resu
             .collect();
         handles.push(spawn_operator(&ctx, &monitor, op, ins, out));
     }
-    for frag in fragments {
-        let seam = senders[frag.top.index()]
-            .take()
-            .expect("fragment seam sender unused");
-        handles.push(crate::recovery::spawn_fragment_supervisor(
-            Arc::clone(&ctx),
-            Arc::clone(&monitor),
-            frag,
-            seam,
-        ));
-    }
     drop(senders);
     drop(receivers);
+    // Dropping `watchdog_done` after the drain stops the watchdog.
+    let stall_quantum = ctx.options.retry.as_ref().and_then(|p| p.stall_quantum);
+    let watchdog_done = stall_quantum.map(|q| {
+        let (done, done_rx) = mpsc::channel::<()>();
+        handles.push(spawn_watchdog(&ctx, q, done_rx));
+        done
+    });
 
     // Drain the root. Columnar batches convert to rows here — the root is
     // a row seam by design (callers consume `Vec<Row>`). A disconnect
@@ -286,8 +330,9 @@ pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Resu
             ExecFailure::Disconnect,
         ));
     }
-    // Unblock any producer still parked on a full root channel, then join
-    // everything — no thread outlives the query.
+    // Stop the watchdog, unblock any producer still parked on a full root
+    // channel, then join everything — no thread outlives the query.
+    drop(watchdog_done);
     drop(root_rx);
     for h in handles {
         if h.join().is_err() {
@@ -298,8 +343,16 @@ pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Resu
             ));
         }
     }
+    let (spawned, live) = (ctx.threads.spawned(), ctx.threads.live());
+    if live != 0 || ctx.threads.started() != spawned {
+        ctx.fail(SipError::Exec(format!(
+            "thread ledger unbalanced after join: {spawned} spawned, {live} still live"
+        )));
+    }
     let wall = start.elapsed();
-    let metrics = ctx.finish_metrics(wall, rows_out);
+    let mut metrics = ctx.finish_metrics(wall, rows_out);
+    metrics.threads_spawned = spawned;
+    metrics.threads_live_at_end = live;
     monitor.on_trace(&ctx, &metrics);
     monitor.on_query_end(&ctx);
 
@@ -323,10 +376,10 @@ pub fn execute_baseline(plan: Arc<PhysPlan>, options: ExecOptions) -> Result<Que
     execute(plan, Arc::new(crate::monitor::NoopMonitor), options)
 }
 
-/// [`execute`] under the options' retry policy: failures the policy
-/// covers (and fragment replay inside the run did not already heal) are
-/// retried whole-run from the deterministic sources, up to the budget.
-/// With no policy installed this is exactly [`execute`].
+/// [`execute`] under the options' retry policy: retryable failures
+/// (panics, errors, stalls) are retried whole-run from the deterministic
+/// sources, up to the budget. With no policy installed this is exactly
+/// [`execute`].
 pub fn execute_with_recovery(
     plan: Arc<PhysPlan>,
     monitor: Arc<dyn ExecMonitor>,

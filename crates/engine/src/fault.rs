@@ -18,8 +18,8 @@
 //! ## Fire budgets and recovery
 //!
 //! Each spec carries a `times` budget counted in a **ledger shared by
-//! every clone of the plan** (the recovery layer re-executes failed
-//! fragments with cloned options). A fault with `times: 2` fires twice
+//! every clone of the plan** (the recovery layer re-runs failed queries
+//! with cloned options). A fault with `times: 2` fires twice
 //! *across all attempts and partitions combined* and then goes quiet —
 //! which is exactly how a transient fault looks to a retry loop. The
 //! default `u32::MAX` keeps the pre-recovery behavior: every armed
@@ -38,13 +38,14 @@ pub enum FaultKind {
     /// Return an ordinary operator error.
     Error,
     /// Sleep for the given duration (cancellably), then continue. A
-    /// *bounded* stall: used to exercise deadline enforcement and
-    /// straggler speculation against a slow-but-alive operator without
+    /// *bounded* stall: used to exercise deadline enforcement and the
+    /// progress watchdog against a slow-but-alive operator without
     /// wedging the test itself.
     Stall(Duration),
     /// Stall indefinitely: sleep until the run's `CancelToken` trips,
     /// then fail with a cancellation. A truly wedged operator — only
-    /// deadlines, cancellation, or straggler speculation get past it.
+    /// deadlines, cancellation, or the progress watchdog (which fails the
+    /// attempt as a retryable stall) get past it.
     Hang,
 }
 

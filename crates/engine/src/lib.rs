@@ -25,7 +25,7 @@ pub mod taps;
 #[doc(hidden)]
 pub mod testkit;
 
-pub use context::{ExecContext, ExecOptions, Msg, PartitionMap};
+pub use context::{ExecContext, ExecOptions, Msg, PartitionMap, ThreadLedger};
 pub use delay::DelayModel;
 pub use exec::{execute, execute_baseline, execute_ctx, execute_with_recovery, QueryOutput};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, LinkFault, LinkFaultKind};

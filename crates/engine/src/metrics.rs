@@ -43,12 +43,6 @@ pub struct OpMetrics {
     pub input_done: [AtomicBool; 2],
     /// Set once the operator has emitted its own EOF.
     pub finished: AtomicBool,
-    /// Recovery retries spent on this operator (fragment replays this
-    /// operator took part in, or whole-run attempts it was re-run by).
-    pub retries: AtomicU64,
-    /// Speculative duplicate executions launched for this operator by
-    /// the straggler detector.
-    pub speculated: AtomicU64,
 }
 
 impl OpMetrics {
@@ -74,44 +68,12 @@ impl OpMetrics {
         global.add(delta);
     }
 
-    /// Fold another operator's counters into this one. Used by the
-    /// recovery layer when a fragment attempt wins: the winning view's
-    /// hub holds a complete, as-if-clean-run accounting for the fragment
-    /// operators (the winner recomputed the whole stream, whoever's
-    /// batches crossed the seam), and it lands in the global hub exactly
-    /// once. Counters add; peaks take the max; completion flags OR.
-    pub fn absorb(&self, other: &OpMetrics) {
-        for i in 0..2 {
-            self.rows_in[i].fetch_add(other.rows_in[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            if other.input_done[i].load(Ordering::Relaxed) {
-                self.input_done[i].store(true, Ordering::Relaxed);
-            }
-        }
-        for (dst, src) in [
-            (&self.batches_in, &other.batches_in),
-            (&self.rows_out, &other.rows_out),
-            (&self.aip_probed, &other.aip_probed),
-            (&self.aip_dropped, &other.aip_dropped),
-            (&self.retries, &other.retries),
-            (&self.speculated, &other.speculated),
-        ] {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.state_peak
-            .fetch_max(other.state_peak.load(Ordering::Relaxed), Ordering::Relaxed);
-        if other.finished.load(Ordering::Relaxed) {
-            self.finished.store(true, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot the atomic counters. Trace-derived fields (phases, routing,
     /// occupancy) are zero here — [`MetricsHub::finish`] overlays them from
     /// the merged thread traces.
     pub fn snapshot(&self, op: OpId) -> OpMetricsSnapshot {
         OpMetricsSnapshot {
             op,
-            retries: self.retries.load(Ordering::Relaxed),
-            speculated: self.speculated.load(Ordering::Relaxed),
             rows_in: [
                 self.rows_in[0].load(Ordering::Relaxed),
                 self.rows_in[1].load(Ordering::Relaxed),
@@ -163,10 +125,6 @@ pub struct OpMetricsSnapshot {
     pub occupancy_sum: u64,
     /// Number of occupancy samples.
     pub occupancy_samples: u64,
-    /// Recovery retries this operator took part in (0 on a clean run).
-    pub retries: u64,
-    /// Speculative duplicates launched for this operator.
-    pub speculated: u64,
 }
 
 impl OpMetricsSnapshot {
@@ -250,14 +208,18 @@ pub struct ExecMetrics {
     /// explicit cancel): the counters are a coherent snapshot of the work
     /// done *before* teardown, not a complete accounting of the query.
     pub cancelled: bool,
-    /// True when the result was produced *through* recovery — a fragment
-    /// replay, a speculative duplicate, or a whole-run retry healed at
-    /// least one failure on the way to this (byte-identical) result.
+    /// True when the result was produced *through* recovery — a
+    /// whole-run retry healed at least one failure on the way to this
+    /// (byte-identical) result.
     pub recovered: bool,
     /// Run-level attempts spent producing this result (1 = first try).
-    /// Fragment-level replays are finer-grained and live in each
-    /// operator's [`OpMetricsSnapshot::retries`].
     pub attempts: u32,
+    /// Threads this run spawned (operators plus the progress watchdog).
+    pub threads_spawned: u64,
+    /// Threads of this run still inside their bodies when it returned.
+    /// Every thread is joined before a run returns, so anything but 0 is
+    /// a leak.
+    pub threads_live_at_end: u64,
 }
 
 impl ExecMetrics {
@@ -357,9 +319,6 @@ pub struct MetricsHub {
     pub filters_injected: AtomicU64,
     /// Simulated network bytes (incremented by sip-net).
     pub network_bytes: AtomicU64,
-    /// Set by the recovery layer when a fragment replay or speculative
-    /// duplicate healed a failure inside this run.
-    pub recovered: AtomicBool,
     /// Span/routing collection point (see [`sip_common::trace`]).
     pub trace: Arc<TraceHub>,
 }
@@ -377,7 +336,6 @@ impl MetricsHub {
             state: StateTracker::new(),
             filters_injected: AtomicU64::new(0),
             network_bytes: AtomicU64::new(0),
-            recovered: AtomicBool::new(false),
             trace: TraceHub::new(level),
         })
     }
@@ -467,8 +425,10 @@ impl MetricsHub {
             filter_events: snap.filters,
             filter_stats: Vec::new(),
             cancelled,
-            recovered: self.recovered.load(Ordering::Relaxed),
+            recovered: false,
             attempts: 1,
+            threads_spawned: 0,
+            threads_live_at_end: 0,
         }
     }
 }

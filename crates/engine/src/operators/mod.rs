@@ -390,10 +390,9 @@ impl<'a> OpGuard<'a> {
             }
             FaultKind::Hang => {
                 // A wedged operator: sleep until this run's token trips
-                // (failure elsewhere, deadline, or a recovery supervisor
-                // cancelling a superseded attempt), then exit as
-                // cancelled. Only speculation, deadlines, or cancel get
-                // a query past this fault.
+                // (failure elsewhere, deadline, explicit cancel, or the
+                // progress watchdog declaring a stall), then exit as
+                // cancelled. Only those get a query past this fault.
                 self.ctx
                     .cancel
                     .sleep_cancellable(Duration::from_secs(86_400));

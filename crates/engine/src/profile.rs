@@ -42,11 +42,6 @@ pub struct OpProfile {
     pub aip_dropped: u64,
     /// Peak buffered bytes.
     pub state_peak: u64,
-    /// Fragment retry rounds this operator was re-executed in.
-    pub retries: u64,
-    /// Speculative duplicate attempts launched for this operator's
-    /// fragment (straggler speculation).
-    pub speculated: u64,
     /// Nanoseconds attributed per [`Phase`] (zero with tracing off).
     pub phase_nanos: [u64; N_PHASES],
     /// Spans recorded per [`Phase`].
@@ -124,8 +119,8 @@ pub struct QueryProfile {
     /// cancel) before completing. A cancelled profile is still coherent —
     /// its counters snapshot the work done up to teardown.
     pub cancelled: bool,
-    /// Whether any recovery (fragment replay, whole-run retry, or
-    /// straggler speculation) healed a failure on the way to this result.
+    /// Whether a whole-run retry healed a failure on the way to this
+    /// result.
     pub recovered: bool,
     /// Run-level attempts the result took (1 = first try succeeded).
     pub attempts: u32,
@@ -194,8 +189,6 @@ impl QueryProfile {
                 aip_probed: m.aip_probed,
                 aip_dropped: m.aip_dropped,
                 state_peak: m.state_peak,
-                retries: m.retries,
-                speculated: m.speculated,
                 phase_nanos: m.phase_nanos,
                 phase_counts: m.phase_counts,
                 routed: m.routed.clone(),
@@ -277,9 +270,8 @@ impl QueryProfile {
                 out,
                 "    {{\"op\": {}, \"kind\": {}, \"partition\": {}, \"rows_in\": {}, \
 \"batches_in\": {}, \"rows_out\": {}, \"aip_probed\": {}, \"aip_dropped\": {}, \
-\"state_peak\": {}, \"retries\": {}, \"speculated\": {}, \"phase_nanos\": {}, \
-\"phase_counts\": {}, \"busy_nanos\": {}, \"routed\": {}, \"hot_keys_observed\": {}, \
-\"occupancy_mean\": {}}}",
+\"state_peak\": {}, \"phase_nanos\": {}, \"phase_counts\": {}, \"busy_nanos\": {}, \
+\"routed\": {}, \"hot_keys_observed\": {}, \"occupancy_mean\": {}}}",
                 o.op,
                 json_str(&o.kind),
                 json_opt_u32(o.partition),
@@ -289,8 +281,6 @@ impl QueryProfile {
                 o.aip_probed,
                 o.aip_dropped,
                 o.state_peak,
-                o.retries,
-                o.speculated,
                 json_u64s(&o.phase_nanos),
                 json_u64s(&o.phase_counts),
                 o.busy_nanos(),

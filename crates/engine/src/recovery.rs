@@ -1,502 +1,36 @@
-//! The recovery layer: fragment replay, straggler speculation, and the
-//! whole-run retry loop.
+//! The recovery layer: one whole-run retry loop.
 //!
-//! PR 9's fail-fast machinery guarantees a failed run dies *cleanly*: an
+//! The fail-fast executor guarantees a failed run dies *cleanly*: an
 //! attributed error, no partial `Ok`, no leaked threads. This module
-//! turns those clean deaths into repair opportunities. The key enabler
-//! is determinism: a fragment — the stateless source chain
-//! `Scan → (Filter|Project)*` feeding a shuffle-mesh writer — produces
-//! an *identical batch sequence* every time it runs against the same
-//! frozen filter chain (scans chunk deterministically, the columnar
-//! pipeline never re-coalesces, AIP sets are immutable behind their
-//! `Arc`s). So a failed fragment can simply be re-executed from its
-//! sources, with a per-batch commit gate at the writer-input seam
-//! guaranteeing each batch index crosses the seam **exactly once** no
-//! matter how many attempts (sequential retries or concurrent
-//! speculative duplicates) replay it.
+//! turns those clean deaths into repair opportunities. The enabler is
+//! determinism: every source re-reads the same table in the same chunks,
+//! and every injected failure comes from a [`crate::FaultPlan`] whose
+//! fire ledger is shared across attempts, so re-running the whole query
+//! from its sources is a complete recovery. A retried run is
+//! byte-identical to a clean one by construction — it *is* a clean run.
 //!
-//! ## Isolation: fragment views
-//!
-//! Each attempt runs the *real* operator implementations
-//! ([`crate::exec::spawn_operator`]) against an isolated
-//! [`ExecContext::fragment_view`]: fresh metrics hub, fresh cancel
-//! token, fresh error slots, and per-attempt *replicas* of the frozen
-//! AIP filters (shared working sets, private counters). A failed
-//! attempt's partially-admitted counters are quarantined with its view
-//! and dropped; only the winning attempt's accounting — a complete,
-//! as-if-clean-run history, since the winner replayed the whole stream
-//! — folds into the global hub, exactly once. Retries therefore never
-//! double-admit: the admit-parity harnesses see one clean run.
-//!
-//! ## The seam gate
-//!
-//! All seam sends happen under one mutex holding `(committed, done)`.
-//! An attempt may forward batch `i` only while `committed == i`, and
-//! `Eof` only while `!done` — so commit order is sealed before `Eof`
-//! goes out even when a speculative duplicate races the primary, and a
-//! loser that falls behind silently drops batches a sibling already
-//! committed.
-//!
-//! ## What fragments do NOT cover
-//!
-//! Failures at stateful operators (joins, aggregates, the mesh writers
-//! themselves) are healed by the coarser [`run_with_recovery`] loop:
-//! the whole run is re-executed from the deterministic sources with
-//! fresh options. `AdaptiveExec` gets stage-checkpoint recovery from
-//! the same loop for free — its stage 2 executes against the
-//! materialized `__stage1` table, so a stage-2 retry never re-runs
-//! stage 1.
+//! Stalls take the same path. With
+//! [`sip_common::RetryPolicy::stall_quantum`] set, [`crate::execute_ctx`]
+//! runs a progress watchdog that fails an attempt with a retryable
+//! [`sip_common::ExecFailure::Stall`] when no batch crosses any plan edge
+//! for one quantum, and this loop re-runs it. `AdaptiveExec` gets
+//! stage-checkpoint recovery from the same loop: its stage 2 executes
+//! against the materialized `__stage1` table, so a stage-2 retry never
+//! re-runs stage 1.
 
-use crate::context::{ExecContext, ExecOptions, Msg};
+use crate::context::ExecOptions;
 use crate::exec::QueryOutput;
-use crate::monitor::ExecMonitor;
-use crate::physical::{PhysKind, PhysPlan};
-use crate::taps::{FilterTap, InjectedFilter};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use sip_common::cancel::CancelToken;
-use sip_common::error::ExecFailure;
 use sip_common::retry::{self, RetryState};
-use sip_common::{OpId, Result, SipError};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// A replayable operator subtree: the maximal stateless single-consumer
-/// chain below one shuffle-mesh writer.
-#[derive(Clone, Debug)]
-pub(crate) struct Fragment {
-    /// Chain members in execution order: the scan first, the operator
-    /// feeding the writer last.
-    pub ops: Vec<OpId>,
-    /// The chain's output operator — its sender is the mesh seam.
-    pub top: OpId,
-}
-
-/// Find every replayable fragment of `plan`: for each `ShuffleWrite`,
-/// walk its tree input down through single-consumer `Filter`/`Project`
-/// nodes to a `Scan`. Chains that hit anything stateful, multi-consumer,
-/// or externally fed (an `ExternalSource` cannot be replayed — its feed
-/// channel was consumed) are not fragments; failures there fall through
-/// to whole-run retry.
-pub(crate) fn fragments(plan: &PhysPlan) -> Vec<Fragment> {
-    let mut consumers = vec![0u32; plan.nodes.len()];
-    for node in &plan.nodes {
-        for c in &node.inputs {
-            consumers[c.index()] += 1;
-        }
-    }
-    let mut out = Vec::new();
-    for node in &plan.nodes {
-        if !matches!(node.kind, PhysKind::ShuffleWrite { .. }) {
-            continue;
-        }
-        let mut chain: Vec<OpId> = Vec::new();
-        let mut cur = node.inputs[0];
-        let complete = loop {
-            if consumers[cur.index()] != 1 || plan.root == cur {
-                break false;
-            }
-            match &plan.node(cur).kind {
-                PhysKind::Filter { .. } | PhysKind::Project { .. } => {
-                    chain.push(cur);
-                    cur = plan.node(cur).inputs[0];
-                }
-                PhysKind::Scan { .. } => {
-                    chain.push(cur);
-                    break true;
-                }
-                _ => break false,
-            }
-        };
-        if complete {
-            chain.reverse();
-            out.push(Fragment {
-                top: *chain.last().expect("non-empty fragment chain"),
-                ops: chain,
-            });
-        }
-    }
-    out
-}
-
-/// Exactly-once commit state at one mesh seam, shared by every attempt
-/// of the fragment. All seam sends happen under this lock.
-struct SeamGate {
-    /// Batch indices `0..committed` have crossed the seam.
-    committed: u64,
-    /// `Eof` has crossed the seam: the fragment is delivered.
-    done: bool,
-}
-
-/// How one attempt of a fragment ended.
-enum Outcome {
-    /// This attempt claimed the seam's `Eof`: its view holds the
-    /// fragment's definitive accounting.
-    Won,
-    /// A sibling won (or the run is tearing down); this attempt's state
-    /// is quarantined and dropped.
-    Lost,
-    /// The attempt's chain died; the view's recorded error says how.
-    Failed(SipError),
-}
-
-/// One in-flight attempt: its isolated view, the (original, replica)
-/// filter pairs whose counters fold back on a win, and the drainer
-/// thread computing the outcome.
-struct Attempt {
-    view: Arc<ExecContext>,
-    filter_pairs: Vec<(Arc<InjectedFilter>, Arc<InjectedFilter>)>,
-    join: JoinHandle<Outcome>,
-}
-
-/// Spawn the supervisor thread owning one fragment's seam sender. It
-/// joins into the executor's handle list like any operator thread: by
-/// the time the run returns, no attempt thread is left behind.
-pub(crate) fn spawn_fragment_supervisor(
-    ctx: Arc<ExecContext>,
-    monitor: Arc<dyn ExecMonitor>,
-    frag: Fragment,
-    seam: Sender<Msg>,
-) -> JoinHandle<()> {
-    let name = format!("sip-recover-{}", frag.top);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || supervise(ctx, monitor, frag, seam))
-        .expect("spawn recovery supervisor")
-}
-
-fn supervise(
-    ctx: Arc<ExecContext>,
-    monitor: Arc<dyn ExecMonitor>,
-    frag: Fragment,
-    seam: Sender<Msg>,
-) {
-    let policy = ctx
-        .options
-        .retry
-        .clone()
-        .expect("fragment supervisor requires a retry policy")
-        .reseeded(u64::from(frag.top.0));
-    // Freeze the filter chains once: every attempt must see identical
-    // filters, or a replay's batch sequence would diverge from the
-    // batches already committed. Filters injected later prune less on
-    // this fragment — safe, AIP filters are semantically transparent.
-    let frozen: Vec<(usize, Vec<Arc<InjectedFilter>>)> = frag
-        .ops
-        .iter()
-        .map(|op| (op.index(), ctx.taps[op.index()].snapshot().as_ref().clone()))
-        .collect();
-    let gate = Arc::new(Mutex::new(SeamGate {
-        committed: 0,
-        done: false,
-    }));
-    let progress = Arc::new(AtomicU64::new(0));
-    let mut state = RetryState::new(policy.clone());
-    // Total executions launched (first attempt + retries + speculative
-    // duplicates) — speculation spends the same budget retries do, but
-    // even a fail-fast policy with a quantum gets one duplicate.
-    let mut launched = 1u32;
-    let launch_cap = policy.max_attempts.max(2);
-
-    loop {
-        if ctx.cancel.is_cancelled() {
-            return;
-        }
-        let mut runners = vec![launch_attempt(
-            &ctx, &monitor, &frag, &frozen, &seam, &gate, &progress,
-        )];
-        let mut last_epoch = progress.load(Ordering::Relaxed);
-        let mut last_change = Instant::now();
-        let mut failure: Option<SipError> = None;
-        let round_failure = loop {
-            if let Some(i) = runners.iter().position(|r| r.join.is_finished()) {
-                let Attempt {
-                    view,
-                    filter_pairs,
-                    join,
-                } = runners.swap_remove(i);
-                match join.join() {
-                    Ok(Outcome::Won) => {
-                        for loser in &runners {
-                            loser.view.cancel.cancel("fragment recovered elsewhere");
-                        }
-                        for loser in runners {
-                            if loser.join.join().is_err() {
-                                // The drainer itself panicked; its seam
-                                // claims are sealed, but a panic in
-                                // recovery code must not heal silently.
-                                ctx.fail(SipError::Exec(
-                                    "fragment drainer panicked during teardown".into(),
-                                ));
-                            }
-                        }
-                        commit_winner(&ctx, &frag, &view, &filter_pairs, launched > 1);
-                        return;
-                    }
-                    Ok(Outcome::Lost) => {
-                        if runners.is_empty() {
-                            return; // winner already reaped or run tearing down
-                        }
-                    }
-                    Ok(Outcome::Failed(e)) => {
-                        failure.get_or_insert(e);
-                        if runners.is_empty() {
-                            break failure.take().expect("failure recorded");
-                        }
-                    }
-                    Err(_) => {
-                        failure.get_or_insert(SipError::Exec(
-                            "recovery attempt thread panicked".into(),
-                        ));
-                        if runners.is_empty() {
-                            break failure.take().expect("failure recorded");
-                        }
-                    }
-                }
-                continue;
-            }
-            if ctx.cancel.is_cancelled() {
-                for r in &runners {
-                    r.view.cancel.cancel("run cancelled");
-                }
-                for r in runners {
-                    if r.join.join().is_err() {
-                        ctx.fail(SipError::Exec(
-                            "fragment drainer panicked during teardown".into(),
-                        ));
-                    }
-                }
-                return;
-            }
-            // Straggler detection: no batch committed for a full quantum
-            // with a single live attempt ⇒ launch a speculative
-            // duplicate. First finisher wins at the seam gate.
-            let epoch = progress.load(Ordering::Relaxed);
-            if epoch != last_epoch {
-                last_epoch = epoch;
-                last_change = Instant::now();
-            } else if let Some(q) = policy.speculation_quantum {
-                if runners.len() == 1
-                    && launched < launch_cap
-                    && last_change.elapsed() >= q
-                    && !gate.lock().done
-                {
-                    launched += 1;
-                    for op in &frag.ops {
-                        ctx.hub.ops[op.index()]
-                            .speculated
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    runners.push(launch_attempt(
-                        &ctx, &monitor, &frag, &frozen, &seam, &gate, &progress,
-                    ));
-                    last_change = Instant::now();
-                }
-            }
-            ctx.cancel.sleep_cancellable(Duration::from_millis(1));
-        };
-        // Every live attempt failed. Retry under the policy, or give up
-        // and fail the run with the exhausted budget named.
-        let class = round_failure.exec_class().unwrap_or(ExecFailure::Error);
-        match state.again(class) {
-            Some(delay) => {
-                launched += 1;
-                for op in &frag.ops {
-                    ctx.hub.ops[op.index()]
-                        .retries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if !ctx.cancel.sleep_cancellable(delay) {
-                    return;
-                }
-            }
-            None => {
-                if !ctx.cancel.is_cancelled() {
-                    let e = if state.exhausted(class) {
-                        state.give_up(round_failure)
-                    } else {
-                        round_failure
-                    };
-                    ctx.fail(e);
-                }
-                // Dropping the seam sender tears the writer down; its
-                // disconnect is secondary to the error recorded above.
-                return;
-            }
-        }
-    }
-}
-
-/// Fold the winning attempt's accounting into the global run — per-op
-/// counters into the global hub, replica filter counters into the live
-/// injected filters — and flag the run as recovered when any repair
-/// (retry or speculation) happened along the way.
-fn commit_winner(
-    ctx: &Arc<ExecContext>,
-    frag: &Fragment,
-    winner: &ExecContext,
-    filter_pairs: &[(Arc<InjectedFilter>, Arc<InjectedFilter>)],
-    healed: bool,
-) {
-    for op in &frag.ops {
-        ctx.hub.ops[op.index()].absorb(&winner.hub.ops[op.index()]);
-    }
-    for (original, replica) in filter_pairs {
-        original.absorb(replica);
-    }
-    if healed {
-        ctx.hub.recovered.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Build one isolated attempt: replica filters, a fragment view, the
-/// real operator threads wired in a private chain, and a drainer thread
-/// claiming batches at the seam gate.
-fn launch_attempt(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
-    frag: &Fragment,
-    frozen: &[(usize, Vec<Arc<InjectedFilter>>)],
-    seam: &Sender<Msg>,
-    gate: &Arc<Mutex<SeamGate>>,
-    progress: &Arc<AtomicU64>,
-) -> Attempt {
-    let mut filter_pairs = Vec::new();
-    let mut taps: Vec<FilterTap> = (0..ctx.plan.nodes.len())
-        .map(|_| FilterTap::new())
-        .collect();
-    for (idx, originals) in frozen {
-        let replicas: Vec<Arc<InjectedFilter>> =
-            originals.iter().map(|f| Arc::new(f.replica())).collect();
-        for (o, r) in originals.iter().zip(replicas.iter()) {
-            filter_pairs.push((Arc::clone(o), Arc::clone(r)));
-        }
-        taps[*idx] = FilterTap::frozen(replicas);
-    }
-    let view = ctx.fragment_view(taps);
-    let capacity = view.options.channel_capacity;
-    let mut op_handles = Vec::with_capacity(frag.ops.len());
-    let mut prev_rx: Option<Receiver<Msg>> = None;
-    for op in &frag.ops {
-        let (tx, rx) = bounded(capacity);
-        let ins = prev_rx.take().map(|r| vec![r]).unwrap_or_default();
-        op_handles.push(crate::exec::spawn_operator(&view, monitor, *op, ins, tx));
-        prev_rx = Some(rx);
-    }
-    let top_rx = prev_rx.expect("fragment has at least one operator");
-    let join = {
-        let global = Arc::clone(ctx);
-        let view = Arc::clone(&view);
-        let seam = seam.clone();
-        let gate = Arc::clone(gate);
-        let progress = Arc::clone(progress);
-        let name = format!("sip-attempt-{}", frag.top);
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || attempt_drain(global, view, op_handles, top_rx, seam, gate, progress))
-            .expect("spawn recovery attempt drainer")
-    };
-    Attempt {
-        view,
-        filter_pairs,
-        join,
-    }
-}
-
-/// Drain one attempt's chain output, committing each batch index at the
-/// seam gate exactly once across all attempts, then tear the view down
-/// and report the outcome.
-fn attempt_drain(
-    global: Arc<ExecContext>,
-    view: Arc<ExecContext>,
-    ops: Vec<JoinHandle<()>>,
-    rx: Receiver<Msg>,
-    seam: Sender<Msg>,
-    gate: Arc<Mutex<SeamGate>>,
-    progress: Arc<AtomicU64>,
-) -> Outcome {
-    let mut index = 0u64;
-    let mut failed = false;
-    let outcome = loop {
-        if global.cancel.is_cancelled() {
-            break Outcome::Lost;
-        }
-        match rx.recv() {
-            Ok(Msg::Eof) => {
-                let mut g = gate.lock();
-                if g.done {
-                    break Outcome::Lost;
-                }
-                // Reaching Eof means this attempt visited every batch
-                // index; each was committed here or by a sibling, and
-                // all seam sends happen under this lock — so the full
-                // sequence is sealed before Eof goes out.
-                g.done = true;
-                let delivered = seam.send(Msg::Eof).is_ok();
-                drop(g);
-                break if delivered {
-                    Outcome::Won
-                } else {
-                    Outcome::Lost
-                };
-            }
-            Ok(msg) => {
-                let mut g = gate.lock();
-                if g.done {
-                    break Outcome::Lost;
-                }
-                if index == g.committed {
-                    if seam.send(msg).is_err() {
-                        // Writer gone: the run is failing elsewhere.
-                        break Outcome::Lost;
-                    }
-                    g.committed += 1;
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
-                drop(g);
-                index += 1;
-            }
-            Err(_) => {
-                failed = true;
-                break Outcome::Lost; // placeholder; resolved after join
-            }
-        }
-    };
-    // Tear the view down (a loser's operators may still be running —
-    // or hung on an injected stall) and reap every thread.
-    if !matches!(outcome, Outcome::Won) {
-        view.cancel.cancel("fragment attempt superseded or failed");
-    }
-    drop(rx);
-    for h in ops {
-        if h.join().is_err() {
-            // catch_unwind contains operator panics, so this fires only
-            // if the error-recording path itself panicked.
-            view.fail(SipError::Exec(
-                "operator thread panicked outside containment".into(),
-            ));
-            failed = true;
-        }
-    }
-    if failed {
-        let e = view.take_error().unwrap_or_else(|| {
-            SipError::Exec("fragment chain died without a recorded error".into())
-        });
-        return Outcome::Failed(e);
-    }
-    outcome
-}
+use sip_common::Result;
 
 /// Run-level retry: execute `run` under the options' [`sip_common::RetryPolicy`],
 /// re-running the whole query (with [`ExecOptions::fresh_clone`]d
 /// options) on retryable failures until it succeeds or the budget is
-/// spent. This is the coarse recovery scope wrapped around
+/// spent. This is the one recovery scope, wrapped around
 /// [`crate::execute_ctx`] by the serial and partition-parallel entry
-/// points; fragment replay inside the run handles source-chain failures
-/// at finer grain (and marks its errors exhausted, which this loop
-/// honors by *not* re-spending its own budget on them).
+/// points. An error an inner retry scope already marked exhausted passes
+/// through without spending this loop's budget again.
 ///
 /// Runs with external input feeds are executed exactly once: a consumed
 /// feed channel cannot be replayed.
@@ -550,31 +84,16 @@ pub fn run_with_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ExecMetrics;
+    use crate::metrics::MetricsHub;
+    use sip_common::error::ExecFailure;
     use sip_common::retry::RetryPolicy;
+    use sip_common::SipError;
     use std::time::Duration;
 
     fn fake_output() -> QueryOutput {
         QueryOutput {
             rows: Vec::new(),
-            metrics: ExecMetrics {
-                wall_time: Duration::ZERO,
-                peak_state_bytes: 0,
-                final_state_bytes: 0,
-                per_op: Vec::new(),
-                rows_out: 0,
-                aip_dropped_total: 0,
-                filters_injected: 0,
-                network_bytes: 0,
-                attribution_underflow: 0,
-                trace_level: sip_common::TraceLevel::Off,
-                spans: Vec::new(),
-                filter_events: Vec::new(),
-                filter_stats: Vec::new(),
-                cancelled: false,
-                recovered: false,
-                attempts: 1,
-            },
+            metrics: MetricsHub::new(0).finish(Duration::ZERO, 0),
         }
     }
 
@@ -623,8 +142,8 @@ mod tests {
 
     #[test]
     fn run_level_retry_respects_inner_exhaustion_and_classes() {
-        // An error already marked exhausted by an inner (fragment) scope
-        // must pass through without re-spending the run-level budget.
+        // An error already marked exhausted by an inner scope must pass
+        // through without re-spending the run-level budget.
         let opts = ExecOptions::default().with_retry(RetryPolicy::with_attempts(5));
         let mut calls = 0u32;
         let inner = RetryState::new(RetryPolicy::with_attempts(2)).give_up(retryable_err());

@@ -45,7 +45,7 @@ pub fn explain_analyze_profiled(
     if profile.recovered {
         let _ = writeln!(
             out,
-            "recovery: result healed by retry/speculation (run attempts {})",
+            "recovery: result healed by whole-run retry (run attempts {})",
             profile.attempts,
         );
     }
@@ -118,17 +118,9 @@ fn fmt_node(plan: &PhysPlan, profile: &QueryProfile, op: OpId, depth: usize, out
         Some(q) => format!(" | out-queue avg {q:.1}"),
         None => String::new(),
     };
-    let recovery = if o.retries > 0 || o.speculated > 0 {
-        format!(
-            " | recovery retries={} speculated={}",
-            o.retries, o.speculated
-        )
-    } else {
-        String::new()
-    };
     let _ = writeln!(
         out,
-        "{pad}{} {}{}: {}out={}{}{}{}{}{}{}",
+        "{pad}{} {}{}: {}out={}{}{}{}{}{}",
         node.id,
         part,
         node.kind.name(),
@@ -139,7 +131,6 @@ fn fmt_node(plan: &PhysPlan, profile: &QueryProfile, op: OpId, depth: usize, out
         phases,
         routing,
         occupancy,
-        recovery,
     );
     for &c in &node.inputs {
         fmt_node(plan, profile, c, depth + 1, out);

@@ -104,32 +104,6 @@ impl InjectedFilter {
         }
     }
 
-    /// A fresh copy of this filter's configuration with zeroed counters,
-    /// sharing the working set (and scope exemptions) behind their Arcs.
-    /// The recovery layer installs replicas in fragment-view taps so a
-    /// failed attempt's partially-admitted probe/drop counts are
-    /// quarantined with the attempt: only the winning attempt's replica
-    /// counters fold back into this filter.
-    pub fn replica(&self) -> InjectedFilter {
-        InjectedFilter {
-            label: self.label.clone(),
-            positions: self.positions.clone(),
-            set: Arc::clone(&self.set),
-            scope: self.scope,
-            salted: self.salted.clone(),
-            probed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Fold a replica's counters back in (winning recovery attempt).
-    pub fn absorb(&self, replica: &InjectedFilter) {
-        self.probed
-            .fetch_add(replica.probed.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.dropped
-            .fetch_add(replica.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Is `digest` outside this filter's domain (foreign partition, or a
     /// salted key the producing partition's state does not cover)? Such
     /// rows pass unprobed and uncounted.
@@ -268,16 +242,6 @@ impl FilterTap {
     /// Empty tap.
     pub fn new() -> Self {
         FilterTap::default()
-    }
-
-    /// A tap pre-loaded with a fixed chain. The recovery layer pins a
-    /// fragment view's filters this way: every attempt of a fragment
-    /// must see the *same* filter chain (frozen at supervisor start), or
-    /// replayed batch sequences would diverge from the committed ones.
-    pub fn frozen(chain: Vec<Arc<InjectedFilter>>) -> Self {
-        FilterTap {
-            filters: RwLock::new(Arc::new(chain)),
-        }
     }
 
     /// Snapshot the current chain (cheap Arc clone; done once per batch).

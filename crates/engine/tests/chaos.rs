@@ -16,9 +16,9 @@ use sip_common::{ExecFailure, Row, Value};
 use sip_data::{Catalog, Table};
 use sip_engine::testkit::TraceProbe;
 use sip_engine::{
-    canonical, execute, execute_baseline, execute_oracle, execute_with_recovery, lower,
-    ExecContext, ExecMonitor, ExecOptions, FaultKind, FaultPlan, Msg, NoopMonitor, QueryOutput,
-    QueryProfile, TraceLevel,
+    canonical, execute, execute_baseline, execute_ctx, execute_oracle, execute_with_recovery,
+    lower, run_with_recovery, ExecContext, ExecMonitor, ExecOptions, FaultKind, FaultPlan, Msg,
+    NoopMonitor, QueryOutput, QueryProfile, TraceLevel,
 };
 use sip_expr::AggFunc;
 use sip_plan::QueryBuilder;
@@ -270,38 +270,32 @@ fn double_cancel_is_idempotent_first_reason_wins() {
     );
 }
 
-/// Count this process's live threads via /proc (Linux-only, like the
-/// executor's thread-per-operator model this suite exercises).
-#[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap()
+/// Every thread of `ctx`'s run was joined, and each one counted itself in
+/// and out of the run's thread ledger.
+fn assert_ledger_balanced(ctx: &ExecContext, what: &str) {
+    let t = &ctx.threads;
+    assert!(t.spawned() > 0, "{what}: the run spawned nothing");
+    assert_eq!(t.live(), 0, "{what}: threads still running after return");
+    assert_eq!(
+        t.started(),
+        t.spawned(),
+        "{what}: spawned threads that never ran"
+    );
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn faulted_runs_leak_no_threads() {
     let c = small_catalog(500);
     let plan = join_agg_plan(&c);
-    // Warm up once so lazily-spawned runtime threads don't count as leaks.
-    let _ = execute_baseline(Arc::clone(&plan), small_batches());
-    let before = thread_count();
     for kind_name in ["Scan", "HashJoin", "Aggregate"] {
         for fault in [FaultKind::Panic, FaultKind::Error] {
             let opts =
                 small_batches().with_faults(FaultPlan::none().with_kind_fault(kind_name, 1, fault));
-            assert!(execute_baseline(Arc::clone(&plan), opts).is_err());
+            let ctx = ExecContext::new(Arc::clone(&plan), opts);
+            assert!(execute_ctx(Arc::clone(&ctx), Arc::new(NoopMonitor)).is_err());
+            assert_ledger_balanced(&ctx, kind_name);
         }
     }
-    let after = thread_count();
-    assert_eq!(
-        before, after,
-        "every faulted run must join all its operator threads"
-    );
 }
 
 /// A retry policy fast enough for tests: microsecond backoff, three
@@ -372,26 +366,6 @@ fn retry_budget_exhaustion_names_the_policy() {
 }
 
 #[test]
-fn non_retryable_classes_fail_on_first_attempt() {
-    let c = small_catalog(500);
-    let plan = join_agg_plan(&c);
-    // Panics declared non-retryable: the policy must not spend attempts.
-    let policy = RetryPolicy {
-        retry_panic: false,
-        ..test_retry(5)
-    };
-    let opts = small_batches()
-        .with_faults(FaultPlan::none().with_kind_fault_times("Scan", 1, FaultKind::Panic, 1))
-        .with_retry(policy);
-    let err = execute_with_recovery(plan, Arc::new(NoopMonitor), opts).unwrap_err();
-    assert_eq!(err.exec_class(), Some(ExecFailure::Panic));
-    assert!(
-        !is_exhausted(&err),
-        "a non-retryable failure is not budget exhaustion: {err}"
-    );
-}
-
-#[test]
 fn cancellation_and_deadlines_are_never_retried() {
     let c = small_catalog(500);
     let plan = join_agg_plan(&c);
@@ -439,28 +413,34 @@ fn recovered_profile_reports_attempts() {
     );
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn recovered_runs_leak_no_threads() {
     let c = small_catalog(500);
     let plan = join_agg_plan(&c);
-    let _ = execute_baseline(Arc::clone(&plan), small_batches());
-    let before = thread_count();
     for kind_name in ["Scan", "HashJoin", "Aggregate"] {
-        let heal = small_batches()
-            .with_faults(FaultPlan::none().with_kind_fault_times(kind_name, 1, FaultKind::Panic, 1))
-            .with_retry(test_retry(3));
-        assert!(execute_with_recovery(Arc::clone(&plan), Arc::new(NoopMonitor), heal).is_ok());
-        let exhaust = small_batches()
-            .with_faults(FaultPlan::none().with_kind_fault(kind_name, 1, FaultKind::Error))
-            .with_retry(test_retry(2));
-        assert!(execute_with_recovery(Arc::clone(&plan), Arc::new(NoopMonitor), exhaust).is_err());
+        let heal = FaultPlan::none().with_kind_fault_times(kind_name, 1, FaultKind::Panic, 1);
+        let exhaust = FaultPlan::none().with_kind_fault(kind_name, 1, FaultKind::Error);
+        for (faults, budget, must_heal) in [(heal, 3, true), (exhaust, 2, false)] {
+            let opts = small_batches()
+                .with_faults(faults)
+                .with_retry(test_retry(budget));
+            let mut attempts: Vec<Arc<ExecContext>> = Vec::new();
+            let result = run_with_recovery(opts, |o| {
+                let ctx = ExecContext::new(Arc::clone(&plan), o);
+                attempts.push(Arc::clone(&ctx));
+                execute_ctx(ctx, Arc::new(NoopMonitor))
+            });
+            assert_eq!(result.is_ok(), must_heal, "{kind_name}: {result:?}");
+            assert_eq!(attempts.len(), 2, "{kind_name}: attempts");
+            for ctx in &attempts {
+                assert_ledger_balanced(ctx, kind_name);
+            }
+            if let Ok(out) = result {
+                assert_eq!(out.metrics.threads_spawned, attempts[1].threads.spawned());
+                assert_eq!(out.metrics.threads_live_at_end, 0);
+            }
+        }
     }
-    let after = thread_count();
-    assert_eq!(
-        before, after,
-        "every retried run must join all threads of every attempt"
-    );
 }
 
 #[test]

@@ -1,27 +1,26 @@
-//! Chaos suite for the recovery layer: partition-fragment replay at the
-//! shuffle mesh, whole-run retry, stage-checkpoint recovery, and
-//! straggler speculation.
+//! Chaos suite for the recovery layer: whole-run retry, the progress
+//! watchdog, and stage-checkpoint recovery.
 //!
-//! The recovery contract sharpens PR 9's fail-fast invariant: a
-//! retryable failure *below* the configured budget must yield a result
-//! **byte-identical to the serial oracle** with `recovered: true` and
-//! accurate attempt counts; a failure *above* the budget must yield a
+//! The recovery contract sharpens the fail-fast invariant: a retryable
+//! failure (panic, error, stall) *below* the configured budget must yield
+//! a result **byte-identical to the serial oracle** with `recovered: true`
+//! and accurate attempt counts; a failure *above* the budget must yield a
 //! clean attributed error naming the exhausted `RetryPolicy`. Never a
-//! partial `Ok`, never duplicate rows — replayed fragments commit at
-//! the mesh seam exactly once.
+//! partial `Ok`, never duplicate rows, and every attempt's threads are
+//! reaped — checked through each attempt's thread ledger.
 
 use sip_common::retry::{is_exhausted, RetryPolicy};
-use sip_common::{ExecFailure, OpId, Row, Value};
+use sip_common::{ExecFailure, Result, Row, Value};
 use sip_core::{run_query_dop, AipConfig, Strategy};
 use sip_data::{generate, Catalog, Table, TpchConfig};
 use sip_engine::{
-    canonical, execute_ctx, execute_oracle, lower, ExecContext, ExecOptions, FaultKind, FaultPlan,
-    NoopMonitor, PhysKind, PhysPlan,
+    canonical, execute_ctx, execute_oracle, lower, run_with_recovery, ExecContext, ExecOptions,
+    FaultKind, FaultPlan, NoopMonitor, PartitionMap, PhysPlan, QueryOutput,
 };
 use sip_parallel::{partition_plan_cfg, AdaptiveExec, PartitionConfig, SaltConfig};
 use sip_queries::build_query;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn catalog() -> Catalog {
     generate(&TpchConfig {
@@ -53,145 +52,174 @@ fn test_retry(attempts: u32) -> RetryPolicy {
     }
 }
 
-/// A scan at the bottom of a replayable fragment (a single-consumer
-/// `Scan → (Filter|Project)*` chain under a `ShuffleWrite`), if the
-/// expanded plan has one. Mirrors the engine's fragment detection so the
-/// tests can aim faults at exactly the ops the supervisor replays.
-fn fragment_scan_op(plan: &PhysPlan) -> Option<OpId> {
-    let mut consumers = vec![0u32; plan.nodes.len()];
-    for n in &plan.nodes {
-        for c in &n.inputs {
-            consumers[c.index()] += 1;
-        }
+/// [`test_retry`] with the progress watchdog armed. The quantum is far
+/// above any silent stretch of these small queries, even on a loaded
+/// machine, and far below the 4 s heal bound.
+fn watched_retry(attempts: u32) -> RetryPolicy {
+    RetryPolicy {
+        stall_quantum: Some(Duration::from_millis(150)),
+        ..test_retry(attempts)
     }
-    for n in &plan.nodes {
-        if !matches!(n.kind, PhysKind::ShuffleWrite { .. }) {
-            continue;
-        }
-        let mut cur = n.inputs[0];
-        loop {
-            if consumers[cur.index()] != 1 || plan.root == cur {
-                break;
-            }
-            match &plan.node(cur).kind {
-                PhysKind::Filter { .. } | PhysKind::Project { .. } => {
-                    cur = plan.node(cur).inputs[0]
-                }
-                PhysKind::Scan { .. } => return Some(cur),
-                _ => break,
-            }
-        }
-    }
-    None
 }
 
-/// Fragment replay in-place: a bounded fault on a mesh source chain is
-/// healed by re-executing just that fragment — no whole-run retry
-/// (`attempts` stays 1), exactly-once seam commit, byte-identical rows.
-#[test]
-fn fragment_replay_heals_mesh_source_faults_in_place() {
-    let catalog = catalog();
-    let spec = build_query("Q4A", &catalog).unwrap();
-    let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
+/// Run `plan` (partition-parallel when `map` is given) under the
+/// whole-run retry loop, then audit every attempt's thread ledger: each
+/// attempt joined every thread it spawned, and each of those threads
+/// counted itself in and out. The generous per-attempt deadline turns a
+/// broken watchdog into a failed test instead of a wedged one.
+fn run_recovering(
+    plan: &Arc<PhysPlan>,
+    map: Option<&Arc<PartitionMap>>,
+    opts: ExecOptions,
+    what: &str,
+) -> Result<QueryOutput> {
+    let mut attempts = Vec::new();
+    let result = run_with_recovery(opts.with_deadline(Duration::from_secs(30)), |o| {
+        let ctx = match map {
+            Some(m) => ExecContext::new_partitioned(Arc::clone(plan), o, Arc::clone(m)),
+            None => ExecContext::new(Arc::clone(plan), o),
+        };
+        attempts.push(Arc::clone(&ctx));
+        execute_ctx(ctx, Arc::new(NoopMonitor))
+    });
+    for (i, t) in attempts.iter().map(|ctx| &ctx.threads).enumerate() {
+        assert!(t.spawned() > 0, "{what}: attempt {i} spawned nothing");
+        assert_eq!(t.live(), 0, "{what}: attempt {i} left threads running");
+        assert_eq!(
+            t.started(),
+            t.spawned(),
+            "{what}: attempt {i}: a thread never ran"
+        );
+    }
+    if let (Ok(out), Some(last)) = (&result, attempts.last()) {
+        assert_eq!(
+            out.metrics.threads_spawned,
+            last.threads.spawned(),
+            "{what}"
+        );
+        assert_eq!(out.metrics.threads_live_at_end, 0, "{what}");
+    }
+    result
+}
+
+fn q4a(catalog: &Catalog) -> (Arc<PhysPlan>, Vec<String>) {
+    let spec = build_query("Q4A", catalog).unwrap();
+    let phys = Arc::new(spec.lower(catalog, Strategy::Baseline).unwrap());
     let expected = canonical(&execute_oracle(&phys).unwrap());
-    let cfg = salt_forced();
+    (phys, expected)
+}
+
+/// A bounded fault on a partitioned scan is healed by re-running the
+/// whole query: byte-identical rows, and exactly one extra attempt.
+#[test]
+fn partitioned_scan_faults_heal_by_whole_run_retry() {
+    let catalog = catalog();
+    let (phys, expected) = q4a(&catalog);
     for dop in [2u32, 4] {
-        let (expanded, map) = partition_plan_cfg(&phys, dop, &cfg).unwrap();
-        let scan = fragment_scan_op(&expanded)
-            .unwrap_or_else(|| panic!("dop {dop}: expanded plan has no replayable fragment"));
+        let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_forced()).unwrap();
         for fault in [FaultKind::Panic, FaultKind::Error] {
             let opts = ExecOptions::default()
-                .with_faults(FaultPlan::none().with_op_fault_times(scan.0, 0, fault.clone(), 1))
+                .with_faults(FaultPlan::none().with_kind_fault_times("Scan", 0, fault.clone(), 1))
                 .with_retry(test_retry(3));
-            let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, Arc::clone(&map));
-            let out = execute_ctx(ctx, Arc::new(NoopMonitor))
-                .unwrap_or_else(|e| panic!("dop {dop} {fault:?}@op{scan}: must recover, got {e}"));
+            let out = run_recovering(&expanded, Some(&map), opts, &format!("dop {dop} {fault:?}"))
+                .unwrap_or_else(|e| panic!("dop {dop} {fault:?}@Scan: must recover, got {e}"));
             assert_eq!(
                 canonical(&out.rows),
                 expected,
-                "dop {dop} {fault:?}@op{scan}: replayed fragment diverged (duplicate or lost rows)"
+                "dop {dop} {fault:?}@Scan: retried run diverged (duplicate or lost rows)"
             );
             assert!(out.metrics.recovered, "dop {dop} {fault:?}: recovered flag");
-            assert_eq!(
-                out.metrics.attempts, 1,
-                "dop {dop} {fault:?}: fragment replay must not count as a whole-run attempt"
-            );
-            let m = &out.metrics.per_op[scan.index()];
-            assert!(
-                m.retries > 0,
-                "dop {dop} {fault:?}: faulted fragment op must report its retry"
-            );
+            assert_eq!(out.metrics.attempts, 2, "dop {dop} {fault:?}: attempts");
         }
     }
 }
 
-/// Above the fragment budget: a clean attributed error naming the
-/// exhausted `RetryPolicy` — never a partial `Ok`.
+/// Above the budget: a clean attributed error naming the exhausted
+/// `RetryPolicy` — never a partial `Ok`. An operator error stays an
+/// `Error`; an unbounded hang, cut short by the watchdog on every
+/// attempt, surfaces as a `Stall`. Both are root causes.
 #[test]
-fn fragment_budget_exhaustion_is_clean_and_attributed() {
+fn budget_exhaustion_is_clean_and_attributed() {
     let catalog = catalog();
-    let spec = build_query("Q4A", &catalog).unwrap();
-    let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
+    let (phys, _) = q4a(&catalog);
     let (expanded, map) = partition_plan_cfg(&phys, 4, &salt_forced()).unwrap();
-    let scan = fragment_scan_op(&expanded).unwrap();
-    // Unlimited fault: every fragment attempt dies; budget of two.
-    let opts = ExecOptions::default()
-        .with_faults(FaultPlan::none().with_op_fault(scan.0, 0, FaultKind::Error))
-        .with_retry(test_retry(2));
-    let ctx = ExecContext::new_partitioned(expanded, opts, map);
-    let err = execute_ctx(ctx, Arc::new(NoopMonitor)).unwrap_err();
-    assert_eq!(err.layer(), "exec", "wrong layer: {err}");
-    assert_eq!(err.exec_class(), Some(ExecFailure::Error));
-    assert!(err.is_primary(), "symptom won over root cause: {err}");
-    assert!(
-        is_exhausted(&err),
-        "must carry the exhaustion marker: {err}"
-    );
-    assert!(
-        err.to_string()
-            .contains("RetryPolicy exhausted after 2/2 attempts"),
-        "must name the spent budget: {err}"
-    );
+    let cases = [
+        (
+            Some(&map),
+            FaultPlan::none().with_kind_fault("Scan", 0, FaultKind::Error),
+            ExecFailure::Error,
+        ),
+        (
+            None,
+            FaultPlan::none().with_kind_fault("HashJoin", 1, FaultKind::Hang),
+            ExecFailure::Stall,
+        ),
+    ];
+    for (map, faults, class) in cases {
+        let plan = if map.is_some() { &expanded } else { &phys };
+        let opts = ExecOptions::default()
+            .with_faults(faults)
+            .with_retry(watched_retry(2));
+        let err = run_recovering(plan, map, opts, &format!("exhausted {class:?}")).unwrap_err();
+        assert_eq!(err.layer(), "exec", "wrong layer: {err}");
+        assert_eq!(err.exec_class(), Some(class));
+        assert!(err.is_primary(), "symptom won over root cause: {err}");
+        assert!(
+            is_exhausted(&err),
+            "must carry the exhaustion marker: {err}"
+        );
+        assert!(
+            err.to_string()
+                .contains("RetryPolicy exhausted after 2/2 attempts"),
+            "must name the spent budget: {err}"
+        );
+    }
 }
 
-/// Straggler speculation: a fragment stalled past the quantum gets a
-/// speculative duplicate; the first finisher commits at the seam gate,
-/// exactly once.
+/// A stalled or hung operator: no batch moves, the watchdog fails the
+/// attempt as a `Stall`, and the retry heals it long before the stall
+/// would have ended on its own — at a partitioned scan, and at a
+/// stateful join (dop 1) whose half-built state no replay of its inputs
+/// could reach.
 #[test]
-fn straggler_speculation_first_finisher_wins() {
+fn stalls_and_hangs_heal_by_watchdog_retry() {
     let catalog = catalog();
-    let spec = build_query("Q4A", &catalog).unwrap();
-    let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
-    let expected = canonical(&execute_oracle(&phys).unwrap());
+    let (phys, expected) = q4a(&catalog);
     let (expanded, map) = partition_plan_cfg(&phys, 4, &salt_forced()).unwrap();
-    let scan = fragment_scan_op(&expanded).unwrap();
-    for stall in [
-        FaultKind::Stall(Duration::from_secs(5)),
-        FaultKind::Hang, // sleeps until cancelled: only speculation gets past it
-    ] {
+    let cases = [
+        (
+            Some(&map),
+            "Scan",
+            0,
+            FaultKind::Stall(Duration::from_secs(5)),
+        ),
+        (Some(&map), "Scan", 0, FaultKind::Hang),
+        (None, "HashJoin", 1, FaultKind::Hang),
+    ];
+    for (map, kind, after, stall) in cases {
+        let what = format!("{stall:?}@{kind}");
+        let plan = if map.is_some() { &expanded } else { &phys };
         let opts = ExecOptions::default()
-            .with_faults(FaultPlan::none().with_op_fault_times(scan.0, 0, stall.clone(), 1))
-            .with_retry(test_retry(2).with_speculation(Duration::from_millis(25)));
-        let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, Arc::clone(&map));
-        let start = std::time::Instant::now();
-        let out = execute_ctx(ctx, Arc::new(NoopMonitor))
-            .unwrap_or_else(|e| panic!("{stall:?}: speculation must rescue the run, got {e}"));
+            .with_faults(FaultPlan::none().with_kind_fault_times(kind, after, stall, 1))
+            .with_retry(watched_retry(2));
+        let start = Instant::now();
+        let result = run_recovering(plan, map, opts, &what);
         let elapsed = start.elapsed();
+        let out =
+            result.unwrap_or_else(|e| panic!("{what}: the watchdog must rescue the run, got {e}"));
         assert_eq!(
             canonical(&out.rows),
             expected,
-            "{stall:?}: speculative duplicate double-committed or lost rows"
+            "{what}: retried run double-counted or lost rows"
         );
-        assert!(out.metrics.recovered, "{stall:?}: recovered flag");
-        let m = &out.metrics.per_op[scan.index()];
-        assert!(
-            m.speculated > 0,
-            "{stall:?}: stalled fragment op must report the speculation"
+        assert!(out.metrics.recovered, "{what}: recovered flag");
+        assert_eq!(
+            out.metrics.attempts, 2,
+            "{what}: one stalled attempt, one clean"
         );
         assert!(
             elapsed < Duration::from_secs(4),
-            "{stall:?}: the speculative duplicate must win long before the stall \
-             ends, took {elapsed:?}"
+            "{what}: the retry must win long before the stall ends, took {elapsed:?}"
         );
     }
 }
@@ -299,75 +327,5 @@ fn adaptive_stage2_retries_from_the_stage1_checkpoint() {
     assert_eq!(
         out.metrics.attempts, 2,
         "deepest stage retry depth surfaces"
-    );
-}
-
-/// Count this process's live threads via /proc (Linux-only).
-#[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap()
-}
-
-/// Recovery must reap every thread of every attempt: healed runs,
-/// exhausted runs, and speculative losers alike.
-#[cfg(target_os = "linux")]
-#[test]
-fn recovery_paths_leak_no_threads() {
-    let catalog = catalog();
-    let spec = build_query("Q4A", &catalog).unwrap();
-    let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
-    let (expanded, map) = partition_plan_cfg(&phys, 4, &salt_forced()).unwrap();
-    let scan = fragment_scan_op(&expanded).unwrap();
-    // Warm up so lazily-spawned runtime threads don't count as leaks.
-    {
-        let ctx = ExecContext::new_partitioned(
-            Arc::clone(&expanded),
-            ExecOptions::default(),
-            Arc::clone(&map),
-        );
-        let _ = execute_ctx(ctx, Arc::new(NoopMonitor));
-    }
-    let before = thread_count();
-    let cases: Vec<(ExecOptions, bool)> = vec![
-        // Healed fragment replay.
-        (
-            ExecOptions::default()
-                .with_faults(FaultPlan::none().with_op_fault_times(scan.0, 0, FaultKind::Panic, 1))
-                .with_retry(test_retry(3)),
-            true,
-        ),
-        // Exhausted budget.
-        (
-            ExecOptions::default()
-                .with_faults(FaultPlan::none().with_op_fault(scan.0, 0, FaultKind::Error))
-                .with_retry(test_retry(2)),
-            false,
-        ),
-        // Speculation over a hung loser.
-        (
-            ExecOptions::default()
-                .with_faults(FaultPlan::none().with_op_fault_times(scan.0, 0, FaultKind::Hang, 1))
-                .with_retry(test_retry(2).with_speculation(Duration::from_millis(25))),
-            true,
-        ),
-    ];
-    for (opts, must_succeed) in cases {
-        let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, Arc::clone(&map));
-        let result = execute_ctx(ctx, Arc::new(NoopMonitor));
-        assert_eq!(
-            result.is_ok(),
-            must_succeed,
-            "unexpected outcome: {result:?}"
-        );
-    }
-    let after = thread_count();
-    assert_eq!(
-        before, after,
-        "recovery must join every attempt's threads (including speculative losers)"
     );
 }

@@ -5,18 +5,17 @@
 //! to the serial oracle), and every attempt's threads are reaped.
 //!
 //! The fault target is drawn over *all* operators of the executed plan,
-//! so runs exercise fragment replay (mesh source chains), whole-run
-//! retry (stateful operators above the mesh), and the no-op case where
-//! the drawn operator never checks its guard — the contract holds in
-//! all three.
+//! so runs exercise whole-run retry from sources, shuffle meshes and
+//! stateful operators alike, plus the no-op case where the drawn operator
+//! never checks its guard — the contract holds in all of them.
 
 use proptest::prelude::*;
 use sip_common::retry::RetryPolicy;
 use sip_common::{DataType, Field, Row, Schema, Value};
 use sip_data::{Catalog, Table};
 use sip_engine::{
-    canonical, execute_ctx, execute_oracle, execute_with_recovery, lower, run_with_recovery,
-    ExecContext, ExecOptions, FaultKind, FaultPlan, NoopMonitor, PhysPlan,
+    canonical, execute_ctx, execute_oracle, lower, run_with_recovery, ExecContext, ExecOptions,
+    FaultKind, FaultPlan, NoopMonitor, PhysPlan,
 };
 use sip_expr::AggFunc;
 use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
@@ -26,7 +25,7 @@ use std::time::Duration;
 
 /// Abort the whole process if a case wedges — but unlike the shuffle
 /// suite's fire-and-forget watchdog, this one is *joined* on success so
-/// it never pollutes the thread-leak measurement below.
+/// no case leaves a thread behind.
 fn with_watchdog<T>(f: impl FnOnce() -> T) -> T {
     let (tx, rx) = std::sync::mpsc::channel::<()>();
     let h = std::thread::spawn(move || {
@@ -39,19 +38,6 @@ fn with_watchdog<T>(f: impl FnOnce() -> T) -> T {
     let _ = tx.send(());
     let _ = h.join();
     out
-}
-
-/// Live threads in this process (None off Linux — the leak assertion is
-/// skipped there, the row-equality contract still runs).
-fn thread_count() -> Option<usize> {
-    if !cfg!(target_os = "linux") {
-        return None;
-    }
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
 }
 
 fn mini_catalog(facts: &[(i64, i64, i64)], bs: &[(i64, i64)], cs: &[i64]) -> Catalog {
@@ -125,9 +111,9 @@ proptest! {
 
     /// The core recovery invariant, randomized: for any plan shape, any
     /// fault point, and any bounded fault strictly below the retry
-    /// budget, the run succeeds with rows byte-equal to the oracle —
-    /// the mesh seam committed every batch exactly once across however
-    /// many attempts it took — and no attempt leaks a thread.
+    /// budget, the run succeeds with rows byte-equal to the oracle — no
+    /// row lost or duplicated across however many attempts it took — and
+    /// no attempt leaks a thread.
     #[test]
     fn bounded_faults_below_budget_never_duplicate_or_lose_rows(
         facts in prop::collection::vec((0i64..10, 0i64..10, -20i64..20), 1..120),
@@ -166,13 +152,17 @@ proptest! {
                 },
                 ..PartitionConfig::default()
             };
-            let before = thread_count();
+            let mut attempts: Vec<Arc<ExecContext>> = Vec::new();
             let result = if dop == 1 {
                 let n = phys.nodes.len() as u32;
                 let opts = ExecOptions::default()
                     .with_faults(FaultPlan::none().with_op_fault_times(op_seed % n, 0, kind, times))
                     .with_retry(retry);
-                execute_with_recovery(Arc::clone(&phys), Arc::new(NoopMonitor), opts)
+                run_with_recovery(opts, |o| {
+                    let ctx = ExecContext::new(Arc::clone(&phys), o);
+                    attempts.push(Arc::clone(&ctx));
+                    execute_ctx(ctx, Arc::new(NoopMonitor))
+                })
             } else {
                 let (expanded, map) = match partition_plan_cfg(&phys, dop, &cfg) {
                     Ok(x) => x,
@@ -187,6 +177,7 @@ proptest! {
                 run_with_recovery(opts, |o| {
                     let ctx =
                         ExecContext::new_partitioned(Arc::clone(&expanded), o, Arc::clone(&map));
+                    attempts.push(Arc::clone(&ctx));
                     execute_ctx(ctx, Arc::new(NoopMonitor))
                 })
             };
@@ -202,10 +193,14 @@ proptest! {
                 "dop {} salted={} times={}/budget {}: duplicate or missing rows after recovery",
                 dop, salted, times, budget
             );
-            if let (Some(b), Some(a)) = (before, thread_count()) {
+            for ctx in &attempts {
                 prop_assert_eq!(
-                    b, a,
+                    ctx.threads.live(), 0,
                     "recovery leaked threads (dop {}, salted={})", dop, salted
+                );
+                prop_assert_eq!(
+                    ctx.threads.started(), ctx.threads.spawned(),
+                    "spawned threads never ran (dop {}, salted={})", dop, salted
                 );
             }
         });
