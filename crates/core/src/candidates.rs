@@ -9,7 +9,7 @@
 //! subtree, and those members' introduction points are the injection sites.
 
 use sip_common::{AttrId, FxHashMap, FxHashSet, OpId};
-use sip_engine::{PhysKind, PhysPlan};
+use sip_engine::PhysPlan;
 use sip_plan::EqClasses;
 
 /// A potential producer of an AIP set: the state a stateful operator holds
@@ -80,9 +80,7 @@ impl Candidates {
                     let class = eq.class(attr);
                     // Candidate only when some class member is introduced
                     // outside this child's subtree.
-                    let external =
-                        class_has_external_member(plan, eq, attr, &subtrees[child.index()]);
-                    if external {
+                    if class_has_external_member(plan, eq, attr, &subtrees[child.index()]) {
                         classes.entry(class).or_default().sources.push(AipSource {
                             op: node.id,
                             input,
@@ -133,18 +131,12 @@ impl Candidates {
             // Deepest-first order, as ESTIMATEBENEFIT walks users "in
             // inverse order of depth" (Fig. 4 line 5).
             users.sort_by_key(|u| std::cmp::Reverse(plan.depth(u.site)));
-            let entry = classes.entry(class).or_default();
-            entry.users = users;
+            classes.entry(class).or_default().users = users;
         }
 
         // Fig. 3's final step (via §IV-A): drop classes nobody can use.
         classes.retain(|_, c| !c.sources.is_empty() && !c.users.is_empty());
         Candidates { classes, subtrees }
-    }
-
-    /// Candidates for the class of `attr`.
-    pub fn for_class(&self, eq: &EqClasses, attr: AttrId) -> Option<&ClassCandidates> {
-        self.classes.get(&eq.class(attr))
     }
 
     /// Sources buffered at `(op, input)`.
@@ -187,8 +179,7 @@ fn compute_subtrees(plan: &PhysPlan) -> Vec<FxHashSet<u32>> {
         let mut set = FxHashSet::default();
         set.insert(node.id.0);
         for &c in &node.inputs {
-            let child_set = out[c.index()].clone();
-            set.extend(child_set);
+            set.extend(out[c.index()].iter().copied());
         }
         out.push(set);
     }
@@ -202,28 +193,19 @@ fn class_has_external_member(
     subtree: &FxHashSet<u32>,
 ) -> bool {
     let class = eq.class(attr);
-    for info in plan.attrs.iter() {
-        if info.id == attr || eq.class(info.id) != class {
-            continue;
-        }
-        if let Some(intro) = plan.introducer(info.id) {
-            if !subtree.contains(&intro.0) {
-                return true;
-            }
-        }
-    }
-    false
+    plan.attrs.iter().any(|info| {
+        info.id != attr
+            && eq.class(info.id) == class
+            && plan
+                .introducer(info.id)
+                .is_some_and(|intro| !subtree.contains(&intro.0))
+    })
 }
 
 fn first_stateful_ancestor(plan: &PhysPlan, op: OpId) -> Option<OpId> {
     plan.ancestors(op)
         .into_iter()
         .find(|&a| plan.node(a).kind.is_stateful())
-}
-
-/// Convenience: is an operator a scan?
-pub fn is_scan(plan: &PhysPlan, op: OpId) -> bool {
-    matches!(plan.node(op).kind, PhysKind::Scan { .. })
 }
 
 #[cfg(test)]

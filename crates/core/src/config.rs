@@ -17,10 +17,6 @@ pub struct AipConfig {
     /// Lower bound on the expected-keys figure used to size Bloom filters,
     /// so wildly wrong underestimates cannot create useless tiny filters.
     pub min_expected_keys: usize,
-    /// Cost-based only: when a completed join-side hash table is keyed by
-    /// exactly the candidate attribute, reuse its keys as an exact hash AIP
-    /// set instead of building a Bloom filter (§V-B).
-    pub reuse_hash_tables: bool,
     /// Cost-based only: additional cost per byte of AIP set, paid before a
     /// set is judged beneficial. Zero locally; the distributed manager sets
     /// it from link bandwidth (§V-B "the cost of transmitting an AIP filter
@@ -35,7 +31,6 @@ impl Default for AipConfig {
             fpr: 0.05,
             n_hashes: 1,
             min_expected_keys: 1024,
-            reuse_hash_tables: true,
             ship_cost_per_byte: 0.0,
         }
     }

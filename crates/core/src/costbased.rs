@@ -6,19 +6,17 @@
 //! AIP set over the completed state, walks the interested operators
 //! deepest-first summing `COST(n ⋈ n′) − COST((n < A) ⋈ n′)` while marking
 //! ancestors to avoid double counting, and only on positive net benefit
-//! scans the state, builds the set, and injects it.
+//! scans the state, builds the set, and hands it to the publish path it
+//! shares with feed-forward (`publish.rs`).
 
 use crate::candidates::{AipSource, AipUser, Candidates};
 use crate::config::AipConfig;
+use crate::publish::Publisher;
 use crate::registry::AipRegistry;
 use parking_lot::Mutex;
-use sip_common::trace::{FilterEvent, FilterEventKind};
 use sip_common::{FxHashMap, FxHashSet, OpId};
-use sip_engine::{
-    CompletionEvent, ExecContext, ExecMonitor, InjectedFilter, MergePolicy, PhysKind,
-    StageFeedback, StateView,
-};
-use sip_filter::{AipSet, AipSetBuilder, AipSetKind};
+use sip_engine::{CompletionEvent, ExecContext, ExecMonitor, PhysKind, StageFeedback, StateView};
+use sip_filter::{AipSetBuilder, AipSetKind, BloomFilter};
 use sip_optimizer::{CostModel, Estimator, RuntimeActual};
 use sip_plan::EqClasses;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,25 +33,11 @@ pub struct CbStats {
     pub rejected: AtomicU64,
 }
 
-/// Per-partition AIP sets keyed by the *source plan* identity of their
-/// producer: (logical op, input, attr) — the same union tracker the
-/// feed-forward controller uses, ported here so the cost-based manager's
-/// scoped per-partition filters OR-merge into one plan-wide filter once
-/// every partition of a producer has built (and accepted) its set.
-type PartialSets = FxHashMap<(u32, usize, u32), Vec<Arc<AipSet>>>;
-
 /// The cost-based AIP manager. Install as the engine monitor.
 pub struct CostBased {
     config: AipConfig,
     cost: CostModel,
-    eq: EqClasses,
-    registry: Arc<AipRegistry>,
-    candidates: Mutex<Option<Arc<Candidates>>>,
-    /// Per-partition sets awaiting their cross-partition OR-merge. A
-    /// producer whose set was rejected by the cost model in *any*
-    /// partition never completes its union — the scoped partials that
-    /// were judged beneficial keep working on their own.
-    partial_sets: Mutex<PartialSets>,
+    publish: Publisher,
     /// Decision log for explainability (one line per considered set).
     decisions: Mutex<Vec<String>>,
     /// Observed row counts snapshotted at stage boundaries, keyed by raw
@@ -72,10 +56,7 @@ impl CostBased {
         Arc::new(CostBased {
             config,
             cost,
-            eq,
-            registry: AipRegistry::new(),
-            candidates: Mutex::new(None),
-            partial_sets: Mutex::new(FxHashMap::default()),
+            publish: Publisher::new("cb", eq),
             decisions: Mutex::new(Vec::new()),
             stage_actuals: Mutex::new(FxHashMap::default()),
             stats: CbStats::default(),
@@ -84,7 +65,7 @@ impl CostBased {
 
     /// The registry (inspection / Fig. 2 reproduction).
     pub fn registry(&self) -> Arc<AipRegistry> {
-        Arc::clone(&self.registry)
+        Arc::clone(&self.publish.registry)
     }
 
     /// The decision log.
@@ -99,18 +80,14 @@ impl CostBased {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let mut a = RuntimeActual {
-                    rows_out: m.rows_out.load(Ordering::Relaxed),
-                    finished: m.finished.load(Ordering::Relaxed),
-                };
                 // Stage-boundary snapshots only ever add information: a
                 // snapshot is a point-in-time floor on rows_out, and a
                 // finished bit recorded there stays true.
-                if let Some(s) = stage.get(&(i as u32)) {
-                    a.rows_out = a.rows_out.max(s.rows_out);
-                    a.finished |= s.finished;
+                let s = stage.get(&(i as u32)).copied().unwrap_or_default();
+                RuntimeActual {
+                    rows_out: m.rows_out.load(Ordering::Relaxed).max(s.rows_out),
+                    finished: m.finished.load(Ordering::Relaxed) || s.finished,
                 }
-                a
             })
             .collect()
     }
@@ -121,20 +98,22 @@ impl CostBased {
     /// from `source.pos` (a *child-layout* position) for operators whose
     /// buffered state is not the raw input (aggregate group keys, semijoin
     /// build keys).
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_benefit(
+    fn estimate_benefit<'a>(
         &self,
         ctx: &ExecContext,
-        cands: &Candidates,
+        cands: &'a Candidates,
         source: &AipSource,
         view: &dyn StateView,
         view_pos: usize,
         est: &Estimator,
-    ) -> (f64, f64, Vec<AipUser>) {
+    ) -> (f64, f64, Vec<&'a AipUser>) {
         let plan = &ctx.plan;
         let state_rows = view.len() as f64;
-        // createCost (line 2) — plus shipping for remote injection sites.
-        let create_cost = self.cost.aip_create_cost(state_rows);
+        // createCost (line 2), plus shipping the set to remote injection
+        // sites (the distributed extension; zero locally).
+        let ship_bytes = estimate_set_bytes(&self.config, view.len());
+        let create_cost =
+            self.cost.aip_create_cost(state_rows) + self.config.ship_cost_per_byte * ship_bytes;
         let child = plan.node(source.op).inputs[source.input];
         // Distinct keys in the AIP set: exact when the operator's hash
         // structure already counts them (§IV-B's "operators that maintain
@@ -148,23 +127,20 @@ impl CostBased {
 
         let mut savings = 0.0;
         let mut used: FxHashSet<u32> = FxHashSet::default();
-        let mut accepted: Vec<AipUser> = Vec::new();
+        // The source and its ancestors: where a user's ancestors meet them
+        // is the common ancestor that stops double counting (lines 12-15).
+        let source_line: FxHashSet<u32> = plan
+            .ancestors(source.op)
+            .into_iter()
+            .chain([source.op])
+            .map(|o| o.0)
+            .collect();
+        let mut accepted = Vec::new();
         // Mutable cardinalities for propagation (line 10).
         let mut rows: Vec<f64> = plan.nodes.iter().map(|n| est.node(n.id).rows).collect();
 
-        for user in cands.users_for_source(plan, &self.eq, source) {
-            if ctx.hub.op(user.site).finished.load(Ordering::Relaxed) {
-                continue; // nothing left to filter
-            }
-            // Partial-aggregate value columns are not filterable: their
-            // values are not final until the merge aggregate runs.
-            if ctx
-                .partitions
-                .as_ref()
-                .is_some_and(|m| !m.filterable_at(user.site, user.pos))
-            {
-                continue;
-            }
+        let eq = &self.publish.eq;
+        for user in self.publish.live_users(ctx, cands, source) {
             let n = user.consumer;
             let site_rows = rows[user.site.index()];
             let d_site = est.node(user.site).distinct(user.attr).max(1.0);
@@ -183,21 +159,18 @@ impl CostBased {
                 } => {
                     // Which input of n does the site feed?
                     let inputs = &plan.node(n).inputs;
-                    let (fed, other) = if cands.in_subtree(inputs[0], user.site) {
-                        (0usize, 1usize)
-                    } else {
-                        (1usize, 0usize)
-                    };
+                    let fed = usize::from(!cands.in_subtree(inputs[0], user.site));
+                    let other = 1 - fed;
                     let fed_rows = rows[inputs[fed].index()];
                     let other_rows = rows[inputs[other].index()];
                     let out_rows = rows[n.index()];
                     // Does the filter cut join output too? Only when the
                     // filtered attribute is (equated to) n's join key.
-                    let fed_keys = if fed == 0 { left_keys } else { right_keys };
+                    let fed_keys = [left_keys, right_keys][fed];
                     let fed_layout = &plan.node(inputs[fed]).layout;
                     let key_filter = fed_keys
                         .iter()
-                        .any(|&k| self.eq.class(fed_layout[k]) == self.eq.class(user.attr));
+                        .any(|&k| eq.class(fed_layout[k]) == eq.class(user.attr));
                     let out_scale = if key_filter { sel_eff } else { 1.0 };
                     let before = self.cost.join_cost(fed_rows, other_rows, out_rows);
                     let after =
@@ -222,54 +195,51 @@ impl CostBased {
                 for a in plan.ancestors(user.site) {
                     rows[a.index()] *= sel_eff;
                 }
-                accepted.push(user.clone());
+                accepted.push(user);
             }
             if use_benefit > 0.0 {
-                // Lines 12-15: mark n's ancestors up to the common ancestor
-                // with the source so they are not double counted.
-                for a in ancestors_to_common(plan, n, source.op) {
-                    used.insert(a.0);
-                }
+                // Lines 12-15: mark n and its ancestors up to the common
+                // ancestor with the source so they are not double counted.
+                let below_common = |a: &OpId| !source_line.contains(&a.0);
+                used.extend(
+                    plan.ancestors(n)
+                        .into_iter()
+                        .take_while(below_common)
+                        .map(|a| a.0),
+                );
                 used.insert(n.0);
             }
         }
         (savings, create_cost, accepted)
     }
-}
 
-/// Ancestors of `n` (exclusive) up to, but not including, the lowest common
-/// ancestor of `n` and `s`.
-fn ancestors_to_common(plan: &sip_engine::PhysPlan, n: OpId, s: OpId) -> Vec<OpId> {
-    let s_anc: FxHashSet<u32> = plan
-        .ancestors(s)
-        .into_iter()
-        .map(|o| o.0)
-        .chain(std::iter::once(s.0))
-        .collect();
-    let mut out = Vec::new();
-    for a in plan.ancestors(n) {
-        if s_anc.contains(&a.0) {
-            break;
+    /// §V-B: "in some cases a hash table from an operator (e.g., a join)
+    /// may be directly reused as an AIP set, if it has an appropriate key"
+    /// — when the completed join side is keyed by exactly the candidate
+    /// attribute, an exact hash set costs nothing extra in false positives.
+    fn pick_kind(&self, ctx: &ExecContext, source: &AipSource) -> AipSetKind {
+        match &ctx.plan.node(source.op).kind {
+            PhysKind::HashJoin {
+                left_keys,
+                right_keys,
+                ..
+            } if [left_keys, right_keys][source.input].as_slice() == [source.pos] => {
+                AipSetKind::Hash
+            }
+            _ => self.config.set_kind,
         }
-        out.push(a);
     }
-    out
 }
 
 impl ExecMonitor for CostBased {
     fn on_query_start(&self, ctx: &Arc<ExecContext>) {
-        let cands = Arc::new(Candidates::compute(&ctx.plan, &self.eq));
-        for (class, cc) in &cands.classes {
-            self.registry.register_interest(*class, cc.users.len());
-        }
-        *self.candidates.lock() = Some(cands);
         // One manager may serve several executions of one query (the
         // adaptive executor runs stage 1 and the re-planned stage 2 as
         // separate plans over the same attribute catalog). State keyed by
         // operator index is per-plan and must not leak across runs; the
         // decision log deliberately persists — it is the cross-stage
         // story the report prints.
-        self.partial_sets.lock().clear();
+        self.publish.start(ctx);
         self.stage_actuals.lock().clear();
     }
 
@@ -284,10 +254,7 @@ impl ExecMonitor for CostBased {
         {
             let mut stage = self.stage_actuals.lock();
             for &(op, rows_out, finished) in &fb.op_rows {
-                let e = stage.entry(op.0).or_insert(RuntimeActual {
-                    rows_out: 0,
-                    finished: false,
-                });
+                let e = stage.entry(op.0).or_default();
                 e.rows_out = e.rows_out.max(rows_out);
                 e.finished |= finished;
             }
@@ -305,32 +272,26 @@ impl ExecMonitor for CostBased {
     }
 
     fn on_input_complete(&self, ctx: &Arc<ExecContext>, ev: &CompletionEvent<'_>) {
+        self.publish.input_complete(ctx, ev);
         if !ev.view.complete() {
             return; // short-circuited state is partial: unusable (§III-B)
         }
-        let Some(cands) = self.candidates.lock().clone() else {
+        let Some(cands) = self.publish.candidates() else {
             return;
         };
         // In a partition-parallel plan, a completed input covers only its
-        // partition's hash class. Sets over the *input stream's*
-        // partitioning class — which a shuffle changes mid-plan, so the
-        // check is per-operator ([`PartitionMap::in_class_at`]), not
-        // plan-wide — are priced (with the per-partition cardinalities the
-        // estimator already derives from the expanded plan) and injected
-        // under a partition scope; sets over other attributes would be
-        // partial without a usable scope, so they are skipped — the
-        // feed-forward controller handles those via OR-merge.
-        let partition = ctx
-            .partitions
-            .as_ref()
-            .and_then(|m| m.partition(ev.op).map(|p| (Arc::clone(m), p)));
+        // partition's hash class. Only sets over the *input stream's*
+        // partitioning class are priced (with the per-partition
+        // cardinalities the estimator derives from the expanded plan): any
+        // other set would be partial without a usable scope.
         let state_stream = ctx.plan.node(ev.op).inputs[ev.input];
         let sources: Vec<AipSource> = cands
             .sources_at(ev.op, ev.input)
             .into_iter()
-            .filter(|s| match &partition {
-                Some((map, _)) => map.in_class_at(state_stream, s.attr),
-                None => true,
+            .filter(|s| {
+                ctx.partitions.as_ref().is_none_or(|m| {
+                    m.partition(ev.op).is_none() || m.in_class_at(state_stream, s.attr)
+                })
             })
             .cloned()
             .collect();
@@ -350,13 +311,8 @@ impl ExecMonitor for CostBased {
                 continue;
             };
             self.stats.considered.fetch_add(1, Ordering::Relaxed);
-            let (savings, mut create_cost, accepted) =
+            let (savings, create_cost, accepted) =
                 self.estimate_benefit(ctx, &cands, &source, ev.view, view_pos, &est);
-            // Distributed extension: add the shipping term for the set.
-            if self.config.ship_cost_per_byte > 0.0 {
-                let approx_bytes = estimate_set_bytes(&self.config, ev.view.len());
-                create_cost += self.config.ship_cost_per_byte * approx_bytes;
-            }
             let attr_name = ctx.plan.attrs.name(source.attr);
             if savings <= create_cost || accepted.is_empty() {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -369,11 +325,9 @@ impl ExecMonitor for CostBased {
             // Build the set by scanning the operator state — the real cost
             // the model just priced. The scan inserts positionally
             // ([`AipSetBuilder::insert_at`]): no key vector is built per
-            // visited row, and exact sets clone a key value only when
-            // storing a genuinely new key. (A chunked gather + shared
-            // digest pass was measured slower here: `for_each` yields
-            // borrowed rows, and the per-row `Arc` clone a gather needs
-            // costs more than the hash it would save.)
+            // visited row, and exact sets clone a key only when it is new.
+            // (A chunked gather + shared digest pass measured slower: the
+            // per-row `Arc` clone a gather needs costs more than the hash.)
             let kind = self.pick_kind(ctx, &source);
             let mut builder = AipSetBuilder::new(
                 kind,
@@ -387,17 +341,7 @@ impl ExecMonitor for CostBased {
                 builder.insert_at(row.key_hash(&positions), row.values(), &positions);
             });
             let set = Arc::new(builder.finish());
-            let build_nanos = t_build.elapsed().as_nanos() as u64;
             self.stats.built.fetch_add(1, Ordering::Relaxed);
-            ctx.hub.trace.filter_event(FilterEvent {
-                kind: FilterEventKind::Built,
-                site: source.op.0,
-                label: format!("cb[{attr_name}] from {}/in{}", source.op, source.input),
-                t_nanos: ctx.hub.trace.now(),
-                build_nanos,
-                keys: set.n_keys(),
-                bytes: set.size_bytes() as u64,
-            });
             self.decisions.lock().push(format!(
                 "build {attr_name} ({kind:?}, {} keys) from {}/in{}: savings {savings:.0} > cost {create_cost:.0}; inject at {:?}",
                 set.n_keys(),
@@ -405,146 +349,16 @@ impl ExecMonitor for CostBased {
                 source.input,
                 accepted.iter().map(|u| u.site).collect::<Vec<_>>()
             ));
-            self.registry.publish(
-                self.eq.class(source.attr),
-                Arc::clone(&set),
-                format!("{}/input{} on {attr_name}", source.op, source.input),
-            );
-            let scope = partition.as_ref().map(|(map, p)| sip_engine::FilterScope {
-                partition: *p,
-                dop: map.dop,
-            });
-            if let Some((map, p)) = &partition {
-                ctx.hub.trace.filter_event(FilterEvent {
-                    kind: FilterEventKind::Scoped,
-                    site: source.op.0,
-                    label: format!("cb[{attr_name}] part{p}/{}", map.dop),
-                    t_nanos: ctx.hub.trace.now(),
-                    build_nanos: 0,
-                    keys: set.n_keys(),
-                    bytes: set.size_bytes() as u64,
-                });
+            let merged = self
+                .publish
+                .publish(ctx, &cands, &source, set, t_build, &accepted);
+            if let (Some(merged), Some(map)) = (merged, &ctx.partitions) {
+                self.decisions.lock().push(format!(
+                    "union {attr_name}: OR-merged {} partition sets ({} keys) plan-wide",
+                    map.dop,
+                    merged.n_keys()
+                ));
             }
-            // Salted digests of the producing stream pass scoped filters
-            // unprobed — partition p's state does not cover a key whose
-            // rows were scattered or replicated outside the hash
-            // invariant; the OR-merged union below covers them.
-            let salted = partition
-                .as_ref()
-                .and_then(|(map, _)| map.salted_at(state_stream));
-            for u in &accepted {
-                if let Some((map, p)) = &partition {
-                    // A site whose stream is partitioned on the probed
-                    // attribute and owned by another partition never sees
-                    // an in-scope row; skip it. Sites partitioned on a
-                    // different class (across a shuffle) mix hash classes
-                    // and keep the filter — the scope check routes per row.
-                    if matches!(map.partition(u.site), Some(q) if q != *p)
-                        && map.in_class_at(u.site, u.attr)
-                    {
-                        continue;
-                    }
-                }
-                let filter = InjectedFilter::scoped_salted(
-                    format!("cb[{attr_name}] @{}", u.site),
-                    vec![u.pos],
-                    Arc::clone(&set),
-                    scope,
-                    salted.clone(),
-                );
-                ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
-            }
-            // Cross-partition OR-merge: park the partial under its source-
-            // plan identity; once all `dop` partitions of the same logical
-            // producer have built (and accepted) their sets, the union
-            // covers the whole subexpression and is injected plan-wide,
-            // unscoped. Geometry mismatches (differently sized Blooms)
-            // abandon the merge — the scoped partials keep working.
-            if let Some((map, _)) = &partition {
-                let union_key = (map.logical(ev.op).0, ev.input, source.attr.0);
-                let complete = {
-                    let mut pending = self.partial_sets.lock();
-                    let slot = pending.entry(union_key).or_default();
-                    slot.push(Arc::clone(&set));
-                    (slot.len() as u32 == map.dop).then(|| std::mem::take(slot))
-                };
-                if let Some(partials) = complete {
-                    let mut merged = (*partials[0]).clone();
-                    if partials[1..].iter().all(|s| merged.union(s).is_ok()) {
-                        let merged = Arc::new(merged);
-                        ctx.hub.trace.filter_event(FilterEvent {
-                            kind: FilterEventKind::OrMerged,
-                            site: map.logical(ev.op).0,
-                            label: format!("cb[{attr_name}] union of {}", map.dop),
-                            t_nanos: ctx.hub.trace.now(),
-                            build_nanos: 0,
-                            keys: merged.n_keys(),
-                            bytes: merged.size_bytes() as u64,
-                        });
-                        self.registry.publish(
-                            self.eq.class(source.attr),
-                            Arc::clone(&merged),
-                            format!(
-                                "{}/input{} on {attr_name} [union of {} parts]",
-                                map.logical(ev.op),
-                                ev.input,
-                                map.dop
-                            ),
-                        );
-                        self.decisions.lock().push(format!(
-                            "union {attr_name}: OR-merged {} partition sets ({} keys) plan-wide",
-                            map.dop,
-                            merged.n_keys()
-                        ));
-                        let live = |site: OpId| !ctx.hub.op(site).finished.load(Ordering::Relaxed);
-                        for u in cands.users_for_source(&ctx.plan, &self.eq, &source) {
-                            if !live(u.site) || !map.filterable_at(u.site, u.pos) {
-                                continue;
-                            }
-                            // Intersect, not Replace: the subsumed scoped
-                            // partials stay in the chain — correct, cheap
-                            // (scope check first), bounded by dop.
-                            let filter = InjectedFilter::new(
-                                format!("cb[{attr_name}] @{} union", u.site),
-                                vec![u.pos],
-                                Arc::clone(&merged),
-                            );
-                            ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl CostBased {
-    /// §V-B: "in some cases a hash table from an operator (e.g., a join)
-    /// may be directly reused as an AIP set, if it has an appropriate key"
-    /// — when the completed join side is keyed by exactly the candidate
-    /// attribute, an exact hash set costs nothing extra in false positives.
-    fn pick_kind(&self, ctx: &ExecContext, source: &AipSource) -> AipSetKind {
-        if !self.config.reuse_hash_tables {
-            return self.config.set_kind;
-        }
-        match &ctx.plan.node(source.op).kind {
-            PhysKind::HashJoin {
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                let keys = if source.input == 0 {
-                    left_keys
-                } else {
-                    right_keys
-                };
-                if keys.as_slice() == [source.pos] {
-                    AipSetKind::Hash
-                } else {
-                    self.config.set_kind
-                }
-            }
-            _ => self.config.set_kind,
         }
     }
 }
@@ -554,11 +368,7 @@ impl CostBased {
 fn estimate_set_bytes(config: &AipConfig, n_keys: usize) -> f64 {
     match config.set_kind {
         AipSetKind::Bloom => {
-            // m = -k·n / ln(1 - fpr^(1/k)) bits.
-            let k = config.n_hashes.max(1) as f64;
-            let per_hash = config.fpr.powf(1.0 / k);
-            let bits = -k * (n_keys.max(1) as f64) / (1.0 - per_hash).ln();
-            bits / 8.0
+            BloomFilter::bits_for(n_keys, config.fpr, config.n_hashes) as f64 / 8.0
         }
         AipSetKind::Hash => n_keys as f64 * 24.0,
         AipSetKind::MinMax => 64.0,

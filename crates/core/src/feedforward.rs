@@ -6,84 +6,57 @@
 //!
 //! Each stateful-operator input with AIP candidates gets a *working copy*
 //! AIP set, built incrementally as tuples are admitted. When the input
-//! completes, the working set is published to the registry and injected as
-//! a semijoin filter at every interested site outside the producing
-//! subtree; same-geometry Bloom filters over the same site are merged by
-//! bitwise intersection. Sets whose prospective users have all finished are
-//! discarded instead of published.
+//! completes, the set takes the publish path shared with cost-based AIP
+//! (`publish.rs`), which injects it as a semijoin filter at every live site
+//! outside the producing subtree. A serial set whose prospective users have
+//! all finished is discarded instead.
 
 use crate::candidates::{AipSource, Candidates};
 use crate::config::AipConfig;
+use crate::publish::Publisher;
 use crate::registry::AipRegistry;
-use parking_lot::Mutex;
-use sip_common::trace::{FilterEvent, FilterEventKind};
 use sip_common::{DigestBuffer, FxHashMap, OpId, Row};
-use sip_engine::{
-    CompletionEvent, ExecContext, ExecMonitor, FilterScope, InjectedFilter, MergePolicy,
-    PartitionMap, RowCollector,
-};
-use sip_filter::{AipSet, AipSetBuilder};
+use sip_engine::{CompletionEvent, ExecContext, ExecMonitor, RowCollector};
+use sip_filter::AipSetBuilder;
 use sip_optimizer::Estimator;
 use sip_plan::EqClasses;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Per-partition AIP sets keyed by the *source plan* identity of their
-/// producer: (logical op, input, attr).
-type PartialSets = FxHashMap<(u32, usize, u32), Vec<Arc<AipSet>>>;
-
-/// Shared, read-mostly state for the feed-forward controller.
-struct Shared {
-    config: AipConfig,
-    eq: EqClasses,
-    registry: Arc<AipRegistry>,
-    candidates: Mutex<Option<Arc<Candidates>>>,
-    /// Per-partition sets awaiting their OR-merge. When all `dop`
-    /// partitions of one producer have completed, the union covers the
-    /// whole logical subexpression and is injected plan-wide.
-    partial_sets: Mutex<PartialSets>,
-}
 
 /// The feed-forward AIP controller. Install as the engine monitor.
 pub struct FeedForward {
-    shared: Arc<Shared>,
+    config: AipConfig,
+    publish: Arc<Publisher>,
 }
 
 impl FeedForward {
     /// Build a controller for a query with equality classes `eq`.
     pub fn new(eq: EqClasses, config: AipConfig) -> Arc<Self> {
         Arc::new(FeedForward {
-            shared: Arc::new(Shared {
-                config,
-                eq,
-                registry: AipRegistry::new(),
-                candidates: Mutex::new(None),
-                partial_sets: Mutex::new(FxHashMap::default()),
-            }),
+            config,
+            publish: Arc::new(Publisher::new("ff", eq)),
         })
     }
 
     /// The registry (for inspection / the Fig. 2 reproduction).
     pub fn registry(&self) -> Arc<AipRegistry> {
-        Arc::clone(&self.shared.registry)
+        Arc::clone(&self.publish.registry)
     }
 
     /// The computed candidate index (available after query start).
     pub fn candidates(&self) -> Option<Arc<Candidates>> {
-        self.shared.candidates.lock().clone()
+        self.publish.candidates()
     }
 }
 
 /// One incrementally-built working set.
 struct WorkingEntry {
     source: AipSource,
-    class: u32,
     builder: AipSetBuilder,
 }
 
 /// Per-(op, input) collector feeding all working sets for that input.
 struct FfCollector {
-    shared: Arc<Shared>,
+    publish: Arc<Publisher>,
     entries: Vec<WorkingEntry>,
     /// Reusable digest scratch for batch admits whose source column is not
     /// the host operator's own key column (one hash pass per batch per
@@ -94,9 +67,8 @@ struct FfCollector {
 impl RowCollector for FfCollector {
     fn admit(&mut self, row: &Row) {
         for e in &mut self.entries {
-            let digest = row.key_hash(&[e.source.pos]);
-            let key = [row.get(e.source.pos).clone()];
-            e.builder.insert(digest, &key);
+            let pos = [e.source.pos];
+            e.builder.insert_at(row.key_hash(&pos), row.values(), &pos);
         }
     }
 
@@ -122,243 +94,26 @@ impl RowCollector for FfCollector {
     }
 
     fn finish(&mut self, ctx: &Arc<ExecContext>) {
-        let Some(cands) = self.shared.candidates.lock().clone() else {
+        let Some(cands) = self.publish.candidates() else {
             return;
         };
         for e in self.entries.drain(..) {
-            publish_and_inject(&self.shared, &cands, ctx, e);
-        }
-    }
-}
-
-fn publish_and_inject(
-    shared: &Shared,
-    cands: &Candidates,
-    ctx: &Arc<ExecContext>,
-    entry: WorkingEntry,
-) {
-    let partition = ctx
-        .partitions
-        .as_ref()
-        .and_then(|m| m.partition(entry.source.op).map(|p| (Arc::clone(m), p)));
-    match partition {
-        None => publish_and_inject_serial(shared, cands, ctx, entry),
-        Some((map, p)) => publish_and_inject_partitioned(shared, cands, ctx, entry, &map, p),
-    }
-}
-
-fn publish_and_inject_serial(
-    shared: &Shared,
-    cands: &Candidates,
-    ctx: &Arc<ExecContext>,
-    entry: WorkingEntry,
-) {
-    let plan = &ctx.plan;
-    let users = cands.users_for_source(plan, &shared.eq, &entry.source);
-    // "all other operators check if there is still interest in the AIP sets
-    // they are computing; if not, they discard their local AIP sets."
-    // Partial-aggregate value columns are never filterable: their values
-    // are not final until the merge aggregate runs.
-    let live_users: Vec<_> = users
-        .iter()
-        .filter(|u| !ctx.hub.op(u.site).finished.load(Ordering::Relaxed))
-        .filter(|u| {
-            ctx.partitions
+            let users = self.publish.live_users(ctx, &cands, &e.source);
+            // "all other operators check if there is still interest in the
+            // AIP sets they are computing; if not, they discard their local
+            // AIP sets." A partition's set is kept regardless: the
+            // OR-merge needs every partition of its producer.
+            let partition = ctx
+                .partitions
                 .as_ref()
-                .is_none_or(|m| m.filterable_at(u.site, u.pos))
-        })
-        .collect();
-    if live_users.is_empty() {
-        return; // discard the working set
-    }
-    let t_build = std::time::Instant::now();
-    let set = Arc::new(entry.builder.finish());
-    let build_nanos = t_build.elapsed().as_nanos() as u64;
-    let attr_name = plan.attrs.name(entry.source.attr);
-    let prov = format!(
-        "{}/input{} on {attr_name}",
-        entry.source.op, entry.source.input
-    );
-    ctx.hub.trace.filter_event(FilterEvent {
-        kind: FilterEventKind::Built,
-        site: entry.source.op.0,
-        label: prov.clone(),
-        t_nanos: ctx.hub.trace.now(),
-        build_nanos,
-        keys: set.n_keys(),
-        bytes: set.size_bytes() as u64,
-    });
-    shared
-        .registry
-        .publish(entry.class, Arc::clone(&set), prov.clone());
-    for u in live_users {
-        let filter = InjectedFilter::new(
-            format!("ff[{}] @{}", attr_name, u.site),
-            vec![u.pos],
-            Arc::clone(&set),
-        );
-        ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
-    }
-}
-
-/// Partition-aware publication: a set built from partition `p`'s state
-/// covers only `p`'s hash class of the logical subexpression.
-///
-/// * When the source attribute is in the *producing stream's* partitioning
-///   class ([`PartitionMap::in_class_at`] on the state's input — a shuffle
-///   changes the class mid-plan, so the plan-wide `class_attrs` is not
-///   enough), the set is injected immediately under a [`FilterScope`] —
-///   rows of other partitions pass unprobed — so partition `p` starts
-///   pruning sideways the moment its build side completes, well before
-///   slow (skewed) partitions finish. The scope check hashes the probed
-///   key itself, so the filter stays valid at sites on the far side of a
-///   shuffle (or in serial sections) whose rows mix hash classes; only
-///   sites provably confined to a *different* hash class of the same
-///   attribute are skipped.
-/// * Either way the set is parked in `partial_sets`; once all `dop`
-///   partitions of the same logical producer have reported, their OR-merge
-///   ([`AipSet::union`]) covers the whole subexpression and replaces the
-///   scoped partials with one plan-wide filter — this is how sideways
-///   information passes *through* a repartition boundary instead of dying
-///   at it.
-fn publish_and_inject_partitioned(
-    shared: &Shared,
-    cands: &Candidates,
-    ctx: &Arc<ExecContext>,
-    entry: WorkingEntry,
-    map: &PartitionMap,
-    p: u32,
-) {
-    let plan = &ctx.plan;
-    let t_build = std::time::Instant::now();
-    let set = Arc::new(entry.builder.finish());
-    let build_nanos = t_build.elapsed().as_nanos() as u64;
-    let attr_name = plan.attrs.name(entry.source.attr);
-    ctx.hub.trace.filter_event(FilterEvent {
-        kind: FilterEventKind::Built,
-        site: entry.source.op.0,
-        label: format!("ff[{attr_name}] part{p}/{}", map.dop),
-        t_nanos: ctx.hub.trace.now(),
-        build_nanos,
-        keys: set.n_keys(),
-        bytes: set.size_bytes() as u64,
-    });
-
-    // Park the partial; take the batch out when the last partition arrives.
-    let union_key = (
-        map.logical(entry.source.op).0,
-        entry.source.input,
-        entry.source.attr.0,
-    );
-    let complete = {
-        let mut pending = shared.partial_sets.lock();
-        let slot = pending.entry(union_key).or_default();
-        slot.push(Arc::clone(&set));
-        if slot.len() as u32 == map.dop {
-            Some(std::mem::take(slot))
-        } else {
-            None
-        }
-    };
-
-    let users = cands.users_for_source(plan, &shared.eq, &entry.source);
-    let live = |site: OpId| !ctx.hub.op(site).finished.load(Ordering::Relaxed);
-    // Never prune a partial-aggregate value column (not final until the
-    // merge aggregate runs).
-    let usable = |u: &crate::candidates::AipUser| live(u.site) && map.filterable_at(u.site, u.pos);
-
-    // The state summarizes the *input* stream of the source operator; that
-    // stream's partitioning class decides whether a partition scope is
-    // sound for this attribute. A salted stream's class is claimed with
-    // its exemption set: a salted key's rows were scattered or replicated
-    // outside the hash invariant, so partition p's working set does not
-    // cover them even when they hash home to p — the scoped filter must
-    // pass them unprobed and leave them to the OR-merged union below.
-    let state_stream = plan.node(entry.source.op).inputs[entry.source.input];
-    if map.in_class_at(state_stream, entry.source.attr) {
-        shared.registry.publish(
-            entry.class,
-            Arc::clone(&set),
-            format!(
-                "{}/input{} on {attr_name} [part {p}/{}]",
-                entry.source.op, entry.source.input, map.dop
-            ),
-        );
-        ctx.hub.trace.filter_event(FilterEvent {
-            kind: FilterEventKind::Scoped,
-            site: entry.source.op.0,
-            label: format!("ff[{attr_name}] part{p}/{}", map.dop),
-            t_nanos: ctx.hub.trace.now(),
-            build_nanos: 0,
-            keys: set.n_keys(),
-            bytes: set.size_bytes() as u64,
-        });
-        let scope = FilterScope {
-            partition: p,
-            dop: map.dop,
-        };
-        let salted = map.salted_at(state_stream);
-        for u in users.iter().filter(|u| usable(u)) {
-            // A site whose own stream is partitioned on the probed
-            // attribute and owned by partition q != p can never carry an
-            // in-scope row; skip it outright. Sites partitioned on a
-            // *different* class (the far side of a shuffle) mix hash
-            // classes of this attribute, so they keep the filter and let
-            // the per-row scope check route.
-            match map.partition(u.site) {
-                Some(q) if q != p && map.in_class_at(u.site, u.attr) => continue,
-                _ => {}
+                .and_then(|m| m.partition(e.source.op));
+            if partition.is_none() && users.is_empty() {
+                continue;
             }
-            let filter = InjectedFilter::scoped_salted(
-                format!("ff[{attr_name}] @{} part{p}", u.site),
-                vec![u.pos],
-                Arc::clone(&set),
-                Some(scope),
-                salted.clone(),
-            );
-            ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
-        }
-    }
-
-    if let Some(partials) = complete {
-        // OR-merge all partitions into one plan-wide set. Geometry
-        // mismatches (differently sized Blooms) abandon the merge — the
-        // scoped partials already injected keep working.
-        let mut merged = (*partials[0]).clone();
-        if partials[1..].iter().all(|s| merged.union(s).is_ok()) {
-            let merged = Arc::new(merged);
-            ctx.hub.trace.filter_event(FilterEvent {
-                kind: FilterEventKind::OrMerged,
-                site: map.logical(entry.source.op).0,
-                label: format!("ff[{attr_name}] union of {}", map.dop),
-                t_nanos: ctx.hub.trace.now(),
-                build_nanos: 0,
-                keys: merged.n_keys(),
-                bytes: merged.size_bytes() as u64,
-            });
-            shared.registry.publish(
-                entry.class,
-                Arc::clone(&merged),
-                format!(
-                    "{}/input{} on {attr_name} [union of {} parts]",
-                    map.logical(entry.source.op),
-                    entry.source.input,
-                    map.dop
-                ),
-            );
-            for u in users.iter().filter(|u| usable(u)) {
-                let filter = InjectedFilter::new(
-                    format!("ff[{attr_name}] @{} union", u.site),
-                    vec![u.pos],
-                    Arc::clone(&merged),
-                );
-                // Intersect, not Replace: other logical sources may have
-                // injected their own (still-needed) filters over the same
-                // columns. The subsumed scoped partials stay in the chain;
-                // they are correct, cheap (scope check first), and bounded
-                // by dop per source.
-                ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
-            }
+            let t_build = std::time::Instant::now();
+            let set = Arc::new(e.builder.finish());
+            self.publish
+                .publish(ctx, &cands, &e.source, set, t_build, &users);
         }
     }
 }
@@ -366,25 +121,12 @@ fn publish_and_inject_partitioned(
 impl ExecMonitor for FeedForward {
     fn on_query_start(&self, ctx: &Arc<ExecContext>) {
         let plan = &ctx.plan;
-        // Per-partition working sets are keyed by operator index, which is
-        // per-plan; residue from an earlier run of this controller (a failed
-        // attempt the recovery layer is retrying, or another stage of an
-        // adaptive query) would let a stale partial set complete this run's
-        // OR-merge early and inject a filter missing whole partitions.
-        self.shared.partial_sets.lock().clear();
-        let cands = Arc::new(Candidates::compute(plan, &self.shared.eq));
+        let cands = self.publish.start(ctx);
         // Static estimates size the Bloom filters; feed-forward collects no
         // runtime statistics (§IV-A).
         let est = Estimator::estimate(plan);
-        // Register interest: one unit per user per class.
-        for (class, cc) in &cands.classes {
-            self.shared
-                .registry
-                .register_interest(*class, cc.users.len());
-        }
         // Group sources by (op, input) into collectors.
-        let mut grouped: sip_common::FxHashMap<(u32, usize), Vec<AipSource>> =
-            sip_common::FxHashMap::default();
+        let mut grouped: FxHashMap<(u32, usize), Vec<AipSource>> = FxHashMap::default();
         for cc in cands.classes.values() {
             for s in &cc.sources {
                 grouped
@@ -396,19 +138,15 @@ impl ExecMonitor for FeedForward {
         for ((op, input), sources) in grouped {
             let op = OpId(op);
             let child = plan.node(op).inputs[input];
-            let expected = est
-                .node(child)
-                .rows
-                .max(self.shared.config.min_expected_keys as f64);
+            let expected = (est.node(child).rows as usize).max(self.config.min_expected_keys);
             let entries: Vec<WorkingEntry> = sources
                 .into_iter()
                 .map(|source| WorkingEntry {
-                    class: self.shared.eq.class(source.attr),
                     builder: AipSetBuilder::new(
-                        self.shared.config.set_kind,
-                        expected as usize,
-                        self.shared.config.fpr,
-                        self.shared.config.n_hashes,
+                        self.config.set_kind,
+                        expected,
+                        self.config.fpr,
+                        self.config.n_hashes,
                     ),
                     source,
                 })
@@ -417,25 +155,17 @@ impl ExecMonitor for FeedForward {
                 op,
                 input,
                 Box::new(FfCollector {
-                    shared: Arc::clone(&self.shared),
+                    publish: Arc::clone(&self.publish),
                     entries,
                     scratch: DigestBuffer::default(),
                 }),
             );
         }
-        *self.shared.candidates.lock() = Some(cands);
     }
 
-    fn on_input_complete(&self, _ctx: &Arc<ExecContext>, ev: &CompletionEvent<'_>) {
-        // Feed-forward consumes completions via collectors; here we only
-        // decrement interest for the classes this operator could have used.
-        let Some(cands) = self.shared.candidates.lock().clone() else {
-            return;
-        };
-        for (class, cc) in &cands.classes {
-            if cc.users.iter().any(|u| u.consumer == ev.op) {
-                self.shared.registry.decrement_interest(*class);
-            }
-        }
+    fn on_input_complete(&self, ctx: &Arc<ExecContext>, ev: &CompletionEvent<'_>) {
+        // Feed-forward consumes completions via collectors; here only the
+        // registry's interest accounting runs.
+        self.publish.input_complete(ctx, ev);
     }
 }

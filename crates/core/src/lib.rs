@@ -18,13 +18,20 @@
 //!   estimator on each completion event (`ESTIMATEBENEFIT`, Fig. 4) and
 //!   builds only provably-beneficial sets.
 //!
+//! The two are policies over one publish path: each decides only *when* a
+//! set is built and *whether*; the shared path publishes it to the
+//! [`AipRegistry`], injects it (partition-scoped when a partition built
+//! it) and OR-merges a producer's partitions into one plan-wide filter.
+//!
 //! [`run_query`] executes any query under `Baseline` / `Magic` /
-//! `FeedForward` / `CostBased`, the four strategies of §VI.
+//! `FeedForward` / `CostBased`, the four strategies of §VI;
+//! [`QuerySpec::monitor`] builds the matching execution monitor.
 
 pub mod candidates;
 pub mod config;
 pub mod costbased;
 pub mod feedforward;
+mod publish;
 pub mod registry;
 pub mod runner;
 

@@ -80,6 +80,23 @@ impl QuerySpec {
             _ => lower(&self.plan, self.attrs.clone(), catalog),
         }
     }
+
+    /// The execution monitor that runs `strategy`: no controller for
+    /// Baseline and Magic, otherwise the AIP controller configured by `aip`
+    /// (and, for Cost-based, priced by `cost`).
+    pub fn monitor(
+        &self,
+        strategy: Strategy,
+        aip: &AipConfig,
+        cost: CostModel,
+    ) -> Arc<dyn ExecMonitor> {
+        let eq = || PredicateIndex::build(&self.plan).eq;
+        match strategy {
+            Strategy::Baseline | Strategy::Magic => Arc::new(NoopMonitor),
+            Strategy::FeedForward => FeedForward::new(eq(), aip.clone()),
+            Strategy::CostBased => CostBased::new(eq(), aip.clone(), cost),
+        }
+    }
 }
 
 /// Execute a query under a strategy. `aip` configures both AIP algorithms;
@@ -91,21 +108,7 @@ pub fn run_query(
     options: ExecOptions,
     aip: &AipConfig,
 ) -> Result<QueryOutput> {
-    let phys = Arc::new(spec.lower(catalog, strategy)?);
-    let monitor: Arc<dyn ExecMonitor> = match strategy {
-        Strategy::Baseline | Strategy::Magic => Arc::new(NoopMonitor),
-        Strategy::FeedForward => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            FeedForward::new(eq, aip.clone())
-        }
-        Strategy::CostBased => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            CostBased::new(eq, aip.clone(), CostModel::default())
-        }
-    };
-    // Serial runs share the recovery path: with no retry policy in the
-    // options this is exactly the old fail-fast `execute`.
-    execute_with_recovery(phys, monitor, options)
+    Ok(run_query_dop(spec, catalog, strategy, options, aip, 1)?.0)
 }
 
 /// Execute a query under a strategy with `dop`-way hash-partition
@@ -123,21 +126,13 @@ pub fn run_query_dop(
     aip: &AipConfig,
     dop: u32,
 ) -> Result<(QueryOutput, Option<Arc<PartitionMap>>)> {
-    if dop <= 1 {
-        return Ok((run_query(spec, catalog, strategy, options, aip)?, None));
-    }
     let phys = Arc::new(spec.lower(catalog, strategy)?);
-    let monitor: Arc<dyn ExecMonitor> = match strategy {
-        Strategy::Baseline | Strategy::Magic => Arc::new(NoopMonitor),
-        Strategy::FeedForward => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            FeedForward::new(eq, aip.clone())
-        }
-        Strategy::CostBased => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            CostBased::new(eq, aip.clone(), CostModel::default())
-        }
-    };
+    let monitor = spec.monitor(strategy, aip, CostModel::default());
+    if dop <= 1 {
+        // Serial runs share the recovery path: with no retry policy in the
+        // options this is exactly the old fail-fast `execute`.
+        return Ok((execute_with_recovery(phys, monitor, options)?, None));
+    }
     PartitionedExec::new(dop).execute(phys, monitor, options)
 }
 

@@ -88,19 +88,14 @@ fn reject_all_config_builds_nothing() {
 
 #[test]
 fn hash_table_reuse_produces_exact_sets() {
-    // With reuse enabled (default), a join side keyed by the candidate
-    // attribute yields a Hash AIP set; disabling it falls back to Bloom.
+    // Hash-table reuse (§V-B) is always on: a join side keyed by the
+    // candidate attribute yields a Hash AIP set.
     let c = catalog();
     let spec = selective_spec(&c);
     let eq = PredicateIndex::build(&spec.plan).eq;
-    let with_reuse = CostBased::new(eq.clone(), AipConfig::paper(), CostModel::default());
+    let with_reuse = CostBased::new(eq, AipConfig::paper(), CostModel::default());
     let phys = Arc::new(spec.lower(&c, Strategy::CostBased).unwrap());
-    execute(
-        Arc::clone(&phys),
-        with_reuse.clone(),
-        ExecOptions::default(),
-    )
-    .unwrap();
+    execute(phys, with_reuse.clone(), ExecOptions::default()).unwrap();
     let log = with_reuse.decisions().join("\n");
     // At least one decision should mention a Hash build (join-side reuse).
     if log.contains("build") {
@@ -108,18 +103,6 @@ fn hash_table_reuse_produces_exact_sets() {
         // the log must name the representation explicitly either way.
         assert!(log.contains("(Hash,") || log.contains("(Bloom,"), "{log}");
     }
-
-    let no_reuse_cfg = AipConfig {
-        reuse_hash_tables: false,
-        ..AipConfig::paper()
-    };
-    let no_reuse = CostBased::new(eq, no_reuse_cfg, CostModel::default());
-    execute(phys, no_reuse.clone(), ExecOptions::default()).unwrap();
-    let log = no_reuse.decisions().join("\n");
-    assert!(
-        !log.contains("(Hash,"),
-        "reuse disabled but Hash built: {log}"
-    );
 }
 
 #[test]

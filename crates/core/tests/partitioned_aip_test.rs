@@ -3,11 +3,17 @@
 //! the single-threaded oracle — and the per-partition taps must actually
 //! fire.
 
-use sip_core::{run_query_dop, AipConfig, QuerySpec, Strategy};
+use sip_common::trace::FilterEventKind;
+use sip_core::{
+    run_query_dop, AipConfig, AipRegistry, CostBased, FeedForward, QuerySpec, Strategy,
+};
 use sip_data::{generate, Catalog, TpchConfig};
-use sip_engine::{canonical, execute_oracle, ExecOptions};
+use sip_engine::{canonical, execute_oracle, DelayModel, ExecMonitor, ExecOptions};
 use sip_expr::{AggFunc, CmpOp, Expr};
-use sip_plan::QueryBuilder;
+use sip_optimizer::CostModel;
+use sip_parallel::PartitionedExec;
+use sip_plan::{PredicateIndex, QueryBuilder};
+use std::sync::Arc;
 
 fn skewed_catalog() -> Catalog {
     generate(&TpchConfig {
@@ -100,41 +106,64 @@ fn partitioned_feed_forward_prunes_per_partition() {
     assert!(partition_drops > 0, "no per-partition pruning: {rollup:?}");
 }
 
-/// The cost-based manager's union tracker (ported from feed-forward):
-/// when every partition of one producer builds (and accepts) its scoped
-/// set, the OR-merge injects one plan-wide unscoped filter, logged as a
-/// `union` decision — and results stay exact.
-#[test]
-fn cost_based_or_merges_partition_sets_plan_wide() {
-    use std::sync::Arc;
-    let c = skewed_catalog();
-    let spec = partkey_query(&c);
-    let phys = spec.lower(&c, Strategy::CostBased).unwrap();
+/// Both controllers share one union tracker: when every partition of one
+/// producer publishes its scoped set, the OR-merge injects one plan-wide
+/// unscoped filter — recorded as an `or_merged` filter event and a
+/// `[union of 3 parts]` registry entry — and results stay exact.
+fn assert_or_merges_plan_wide(
+    c: &Catalog,
+    spec: &QuerySpec,
+    strategy: Strategy,
+    monitor: Arc<dyn ExecMonitor>,
+    registry: Arc<AipRegistry>,
+) {
+    let phys = spec.lower(c, strategy).unwrap();
     let expected = canonical(&execute_oracle(&phys).unwrap());
-    let eq = sip_plan::PredicateIndex::build(&spec.plan).eq;
-    let cb = sip_core::CostBased::new(
-        eq,
-        AipConfig::hash_sets(),
-        sip_optimizer::CostModel::default(),
-    );
     // Delay the probed fact source (both partsupp scans) so every
     // partition's build side completes while its users are still live —
-    // the acceptance decision is then deterministic across schedules.
-    let opts =
-        ExecOptions::default().with_delay("partsupp", sip_engine::DelayModel::paper_delayed());
-    let (out, map) = sip_parallel::PartitionedExec::new(3)
-        .execute(Arc::new(phys), cb.clone(), opts)
+    // the cost-based acceptance decision is then deterministic across
+    // schedules.
+    let opts = ExecOptions::default().with_delay("partsupp", DelayModel::paper_delayed());
+    let (out, map) = PartitionedExec::new(3)
+        .execute(Arc::new(phys), monitor, opts)
         .unwrap();
-    assert!(map.is_some(), "partitioned path must run");
-    assert_eq!(canonical(&out.rows), expected);
+    assert!(map.is_some(), "{strategy}: partitioned path must run");
+    assert_eq!(canonical(&out.rows), expected, "{strategy} diverged");
+    let events = &out.metrics.filter_events;
+    assert!(
+        events.iter().any(|e| e.kind == FilterEventKind::OrMerged),
+        "{strategy}: no or_merged filter event: {events:?}"
+    );
+    // The merged set reached the registry as a plan-wide publication.
+    let display = registry.display();
+    assert!(
+        display.contains("union of 3 parts"),
+        "{strategy}: no union in the registry:\n{display}"
+    );
+}
+
+#[test]
+fn feed_forward_or_merges_partition_sets_plan_wide() {
+    let c = skewed_catalog();
+    let spec = partkey_query(&c);
+    let eq = PredicateIndex::build(&spec.plan).eq;
+    let ff = FeedForward::new(eq, AipConfig::hash_sets());
+    assert_or_merges_plan_wide(&c, &spec, Strategy::FeedForward, ff.clone(), ff.registry());
+}
+
+#[test]
+fn cost_based_or_merges_partition_sets_plan_wide() {
+    let c = skewed_catalog();
+    let spec = partkey_query(&c);
+    let eq = PredicateIndex::build(&spec.plan).eq;
+    let cb = CostBased::new(eq, AipConfig::hash_sets(), CostModel::default());
+    assert_or_merges_plan_wide(&c, &spec, Strategy::CostBased, cb.clone(), cb.registry());
     let decisions = cb.decisions();
     assert!(
         decisions.iter().any(|d| d.starts_with("union")),
         "no cross-partition OR-merge logged:\n{}",
         decisions.join("\n")
     );
-    // The merged set reached the registry as a plan-wide publication.
-    assert!(cb.registry().display().contains("union of 3 parts"));
 }
 
 #[test]

@@ -258,6 +258,10 @@ impl FaultPlan {
     }
 }
 
+/// The plan-wide fire ledger (fires spent per spec key) paired with the
+/// key this thread's spec is counted under.
+type FaultLedger = (Arc<Mutex<FxHashMap<String, u32>>>, String);
+
 /// Per-operator-thread fault progress: counts incoming batches and
 /// reports when the armed fault should fire. Fires at most once per
 /// thread, and — when the spec carries a `times` budget — at most
@@ -267,7 +271,7 @@ pub struct FaultState {
     spec: Option<FaultSpec>,
     batches: u64,
     fired: bool,
-    ledger: Option<(Arc<Mutex<FxHashMap<String, u32>>>, String)>,
+    ledger: Option<FaultLedger>,
 }
 
 impl FaultState {

@@ -227,9 +227,6 @@ pub enum MergePolicy {
     /// Bitwise-intersect with an existing same-geometry Bloom filter
     /// (§IV-B), falling back to stacking when geometries differ.
     Intersect,
-    /// Replace any existing filter over the same columns (used when the new
-    /// filter is strictly stronger).
-    Replace,
 }
 
 /// The per-operator filter chain.
@@ -257,10 +254,6 @@ impl FilterTap {
         let mut chain: Vec<Arc<InjectedFilter>> = guard.as_ref().clone();
         match policy {
             MergePolicy::Stack => chain.push(Arc::new(filter)),
-            MergePolicy::Replace => {
-                chain.retain(|f| f.positions != filter.positions);
-                chain.push(Arc::new(filter));
-            }
             MergePolicy::Intersect => {
                 let mut merged = false;
                 for slot in chain.iter_mut() {
@@ -528,32 +521,6 @@ mod tests {
         assert!(pass(&row(2)));
         assert!(!pass(&row(1)));
         assert!(!pass(&row(3)));
-    }
-
-    #[test]
-    fn replace_removes_same_columns() {
-        let tap = FilterTap::new();
-        tap.inject(
-            InjectedFilter::new("a", vec![0], set_of(&[1])),
-            MergePolicy::Stack,
-        );
-        tap.inject(
-            InjectedFilter::new("b", vec![0], set_of(&[2])),
-            MergePolicy::Replace,
-        );
-        let chain = tap.snapshot();
-        assert_eq!(chain.len(), 1);
-        assert!(chain[0].admits(&row(2)));
-        // Filters over different columns survive a replace.
-        tap.inject(
-            InjectedFilter::new("c", vec![1], set_of(&[5])),
-            MergePolicy::Stack,
-        );
-        tap.inject(
-            InjectedFilter::new("d", vec![0], set_of(&[7])),
-            MergePolicy::Replace,
-        );
-        assert_eq!(tap.len(), 2);
     }
 
     #[test]

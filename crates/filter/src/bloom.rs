@@ -27,12 +27,19 @@ impl BloomFilter {
     /// for `m` gives `m = -k·n / ln(1 - fpr^{1/k})`. With the paper's `k = 1`
     /// and 5% FPR this is ≈ 19.5 bits per key.
     pub fn with_fpr(expected_items: usize, target_fpr: f64, n_hashes: u32) -> Self {
-        let k = n_hashes.max(1);
+        Self::with_bits(
+            Self::bits_for(expected_items, target_fpr, n_hashes),
+            n_hashes,
+        )
+    }
+
+    /// The bit count [`BloomFilter::with_fpr`] sizes a filter to (before
+    /// rounding up to a whole word).
+    pub fn bits_for(expected_items: usize, target_fpr: f64, n_hashes: u32) -> u64 {
+        let k = n_hashes.max(1) as f64;
         let fpr = target_fpr.clamp(1e-9, 0.999);
         let n = expected_items.max(1) as f64;
-        let per_hash_rate = fpr.powf(1.0 / k as f64);
-        let m = (-(k as f64) * n / (1.0 - per_hash_rate).ln()).ceil();
-        Self::with_bits(m as u64, k)
+        (-k * n / (1.0 - fpr.powf(1.0 / k)).ln()).ceil() as u64
     }
 
     /// A filter with exactly `n_bits` bits (rounded up to a 64-bit word) and

@@ -7,13 +7,12 @@ use sip_common::error::ExecFailure;
 use sip_common::retry::{RetryPolicy, RetryState};
 use sip_common::trace::{FilterEvent, FilterEventKind};
 use sip_common::{OpId, Result, SipError};
-use sip_core::{AipConfig, CostBased, FeedForward, QuerySpec, Strategy};
+use sip_core::{AipConfig, QuerySpec, Strategy};
 use sip_engine::{
-    execute_ctx, ExecContext, ExecMonitor, ExecOptions, LinkFaultKind, Msg, NoopMonitor, PhysKind,
-    PhysPlan, QueryOutput, TapKernel,
+    execute_ctx, ExecContext, ExecOptions, LinkFaultKind, Msg, PhysKind, PhysPlan, QueryOutput,
+    TapKernel,
 };
 use sip_optimizer::CostModel;
-use sip_plan::PredicateIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,23 +145,12 @@ pub fn run_distributed(
         }));
     }
 
-    let monitor: Arc<dyn ExecMonitor> = match strategy {
-        Strategy::Baseline | Strategy::Magic => Arc::new(NoopMonitor),
-        Strategy::FeedForward => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            FeedForward::new(eq, aip.clone())
-        }
-        Strategy::CostBased => {
-            let eq = PredicateIndex::build(&spec.plan).eq;
-            let mut cfg = aip.clone();
-            cfg.ship_cost_per_byte = remote.link.cost_per_byte();
-            CostBased::new(
-                eq,
-                cfg,
-                CostModel::default().with_bandwidth_mbps(remote.link.bandwidth_mbps),
-            )
-        }
+    let aip = AipConfig {
+        ship_cost_per_byte: remote.link.cost_per_byte(),
+        ..aip.clone()
     };
+    let cost = CostModel::default().with_bandwidth_mbps(remote.link.bandwidth_mbps);
+    let monitor = spec.monitor(strategy, &aip, cost);
     // Join the feeders even when the query failed (on the failure path
     // their channel receivers are gone, so sends fail and they return
     // promptly) — no thread outlives the run.
