@@ -1,7 +1,7 @@
 //! Cooperative query cancellation.
 //!
 //! A [`CancelToken`] is shared by every thread of one query execution —
-//! operator threads, shuffle-mesh writers, `sip-net` feeder threads, and
+//! operator threads (remote scans included), shuffle-mesh writers, and
 //! the root drain. The first failure (operator error, contained panic,
 //! injected fault, deadline, or an explicit [`CancelToken::cancel`] call)
 //! trips the token; every other thread notices at its next per-batch

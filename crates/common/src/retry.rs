@@ -3,9 +3,9 @@
 //! [`ExecFailure`] classes.
 //!
 //! One policy type serves every recovery scope in the system — the
-//! engine's whole-run retry loop (`sip_engine::run_with_recovery`),
-//! `AdaptiveExec`'s stage-checkpoint recovery, and the `sip-net`
-//! last-acked-batch link retry — so budgets, backoff curves, and
+//! engine's whole-run retry loop (`sip_engine::run_with_recovery`, which
+//! also heals remote-link faults) and `AdaptiveExec`'s stage-checkpoint
+//! recovery — so budgets, backoff curves, and
 //! exhaustion reporting behave identically everywhere. The policy also
 //! arms the engine's per-run progress watchdog
 //! ([`RetryPolicy::stall_quantum`]), which turns a wedged run into a
@@ -65,13 +65,6 @@ impl RetryPolicy {
             max_attempts,
             ..RetryPolicy::default()
         }
-    }
-
-    /// Derive a policy with a scope-specific seed (e.g. per partition),
-    /// so concurrent scopes jitter independently but deterministically.
-    pub fn reseeded(mut self, salt: u64) -> Self {
-        self.jitter_seed = splitmix64(self.jitter_seed ^ salt);
-        self
     }
 
     /// The delay before retry number `retry` (1-based: the delay taken
@@ -277,9 +270,6 @@ mod tests {
             (1..6).any(|r| c.backoff(r) != a.backoff(r)),
             "reseeding never moved a delay"
         );
-        // And reseeding is itself deterministic.
-        assert_eq!(policy().reseeded(3), policy().reseeded(3));
-        assert_ne!(policy().reseeded(3).jitter_seed, policy().jitter_seed);
     }
 
     #[test]

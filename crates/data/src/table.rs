@@ -68,8 +68,7 @@ pub struct TableMeta {
 ///
 /// Stored columnar ([`ColumnarBatch`]) — scans slice the typed columns
 /// zero-copy. A row-shaped view is materialized lazily (once) for the
-/// consumers that are row seams by design (the oracle, the remote-feed
-/// fallback, row-based tests).
+/// consumers that are row seams by design (the oracle, row-based tests).
 #[derive(Clone, Debug)]
 pub struct Table {
     meta: TableMeta,

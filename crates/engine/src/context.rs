@@ -1,7 +1,8 @@
 //! Shared per-execution context: options, taps, metrics, collectors.
 
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, SourceModel};
 use crate::fault::{FaultPlan, FaultState};
+use crate::link::LinkSpec;
 use crate::metrics::{ExecMetrics, FilterStat, MetricsHub};
 use crate::monitor::RowCollector;
 use crate::physical::{PhysKind, PhysPlan};
@@ -150,14 +151,15 @@ impl Msg {
 }
 
 /// Options for one execution.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ExecOptions {
     /// Rows per inter-operator batch.
     pub batch_size: usize,
     /// Bounded-channel capacity (batches) — the backpressure window.
     pub channel_capacity: usize,
-    /// Delay models, keyed by scan binding (then by table name as fallback).
-    pub delays: FxHashMap<String, DelayModel>,
+    /// Source models (delayed or remote), keyed by scan binding, then by
+    /// table name as fallback. Scans with no entry read local storage.
+    pub sources: FxHashMap<String, SourceModel>,
     /// Collect result rows at the sink (disable for pure timing runs of
     /// large outputs).
     pub collect_rows: bool,
@@ -168,9 +170,6 @@ pub struct ExecOptions {
     /// values `>= 2` force that fan-in. `1` is rejected by validation (a
     /// 1-ary merge tree cannot terminate).
     pub merge_fanin: usize,
-    /// Feeding channels for [`crate::physical::PhysKind::ExternalSource`]
-    /// nodes, keyed by operator id. Taken (not cloned) at spawn time.
-    pub external_inputs: Mutex<FxHashMap<u32, Receiver<Msg>>>,
     /// How much runtime detail the `sip-trace` layer records
     /// ([`TraceLevel::Off`] by default — routing/skew counts still flow).
     pub trace_level: TraceLevel,
@@ -196,10 +195,9 @@ impl Default for ExecOptions {
         ExecOptions {
             batch_size: 1024,
             channel_capacity: 16,
-            delays: FxHashMap::default(),
+            sources: FxHashMap::default(),
             collect_rows: true,
             merge_fanin: 0,
-            external_inputs: Mutex::new(FxHashMap::default()),
             trace_level: TraceLevel::default(),
             deadline: None,
             faults: FaultPlan::none(),
@@ -256,7 +254,10 @@ impl ExecOptions {
         if let Some(policy) = &self.retry {
             policy.validate()?;
         }
-        for (binding, model) in &self.delays {
+        for (binding, source) in &self.sources {
+            let SourceModel::Delayed(model) = source else {
+                continue;
+            };
             model.validate().map_err(|e| {
                 sip_common::SipError::Config(format!("delay model for {binding:?}: {e}"))
             })?;
@@ -266,7 +267,14 @@ impl ExecOptions {
 
     /// Add a delay model for a binding or table name.
     pub fn with_delay(mut self, binding: impl Into<String>, model: DelayModel) -> Self {
-        self.delays.insert(binding.into(), model);
+        self.sources
+            .insert(binding.into(), SourceModel::Delayed(model));
+        self
+    }
+
+    /// Serve a table (or one binding of it) from a remote site over `link`.
+    pub fn with_remote(mut self, table: impl Into<String>, link: LinkSpec) -> Self {
+        self.sources.insert(table.into(), SourceModel::Remote(link));
         self
     }
 
@@ -294,31 +302,11 @@ impl ExecOptions {
         self
     }
 
-    /// A fresh copy of these options for a retry attempt. Everything is
-    /// cloned — including the fault plan, whose fire ledger is *shared*
-    /// (an Arc), so bounded chaos faults stay exhausted across attempts
-    /// — except `external_inputs`: those channels were taken by the
-    /// failed run's threads and cannot be replayed, so recovery scopes
-    /// must not be offered contexts that had any (see
-    /// [`crate::exec::execute_with_recovery`]).
-    pub fn fresh_clone(&self) -> ExecOptions {
-        ExecOptions {
-            batch_size: self.batch_size,
-            channel_capacity: self.channel_capacity,
-            delays: self.delays.clone(),
-            collect_rows: self.collect_rows,
-            merge_fanin: self.merge_fanin,
-            external_inputs: Mutex::new(FxHashMap::default()),
-            trace_level: self.trace_level,
-            deadline: self.deadline,
-            faults: self.faults.clone(),
-            retry: self.retry.clone(),
-        }
-    }
-
-    /// Look up the delay for a scan.
-    pub fn delay_for(&self, binding: &str, table: &str) -> Option<&DelayModel> {
-        self.delays.get(binding).or_else(|| self.delays.get(table))
+    /// Look up the source model for a scan.
+    pub fn source_for(&self, binding: &str, table: &str) -> Option<&SourceModel> {
+        self.sources
+            .get(binding)
+            .or_else(|| self.sources.get(table))
     }
 }
 
@@ -745,16 +733,23 @@ mod tests {
     fn delay_lookup_prefers_binding() {
         let opts = ExecOptions::default()
             .with_delay("partsupp", DelayModel::paper_delayed())
-            .with_delay("ps2", DelayModel::initial_only(Duration::from_millis(1)));
+            .with_delay("ps2", DelayModel::initial_only(Duration::from_millis(1)))
+            .with_remote("part", LinkSpec::lan_100mbps());
         assert_eq!(
-            opts.delay_for("ps2", "partsupp"),
-            Some(&DelayModel::initial_only(Duration::from_millis(1)))
+            opts.source_for("ps2", "partsupp"),
+            Some(&SourceModel::Delayed(DelayModel::initial_only(
+                Duration::from_millis(1)
+            )))
         );
         assert_eq!(
-            opts.delay_for("ps1", "partsupp"),
-            Some(&DelayModel::paper_delayed())
+            opts.source_for("ps1", "partsupp"),
+            Some(&SourceModel::Delayed(DelayModel::paper_delayed()))
         );
-        assert_eq!(opts.delay_for("l", "lineitem"), None);
+        assert_eq!(
+            opts.source_for("p", "part"),
+            Some(&SourceModel::Remote(LinkSpec::lan_100mbps()))
+        );
+        assert_eq!(opts.source_for("l", "lineitem"), None);
     }
 
     #[test]

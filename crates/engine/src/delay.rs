@@ -1,11 +1,27 @@
-//! Source-delay models.
+//! Source models: how a scan's table reaches the executor.
 //!
 //! §VI-B of the paper delays the PARTSUPP relation "by 100msec and
 //! rate-limited by injecting a 5msec delay every 1000 tuples" to emulate
 //! wide-area sources. [`DelayModel`] reproduces exactly that shape.
+//! §V-B fetches a relation from a remote site instead, where shipped AIP
+//! filters prune it before it crosses the link ([`SourceModel::Remote`]).
 
+use crate::link::LinkSpec;
 use sip_common::{Result, SipError};
 use std::time::Duration;
+
+/// How one scan's table reaches the executor; a scan with no entry in
+/// [`crate::ExecOptions::sources`] reads local storage at full speed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SourceModel {
+    /// A slow source that cannot take filters: the scan pays the delay for
+    /// every chunk it reads, then applies its taps (§VI-B).
+    Delayed(DelayModel),
+    /// A remote site over a link: the scan applies its taps at the site,
+    /// pays the link for each newly injected filter and for the surviving
+    /// rows only — a Bloomjoin (§V-B).
+    Remote(LinkSpec),
+}
 
 /// A delay model applied by a scan (or simulated remote source).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -143,7 +143,6 @@ fn spawn_operator(
     spawn_counted(ctx, format!("sip-{op}-{kind_name}"), move |ctx| {
         let result = catch_unwind(AssertUnwindSafe(|| match &ctx.plan.node(op).kind {
             PhysKind::Scan { .. } => operators::scan::run_scan(ctx, op, out),
-            PhysKind::ExternalSource { .. } => operators::scan::run_external(ctx, op, out),
             PhysKind::Filter { .. } => {
                 operators::stateless::run_filter(ctx, op, ins.remove(0), out)
             }
@@ -250,9 +249,9 @@ fn spawn_watchdog(
     })
 }
 
-/// Execute with a caller-constructed context — used by the distributed
-/// harness, whose simulated remote sites need shared access to the taps
-/// (so shipped filters can be applied *before* transmission).
+/// Execute with a caller-constructed context — used by callers that need
+/// the context itself, such as the partition-parallel executor, which
+/// builds it from an expanded plan and its partition map.
 pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Result<QueryOutput> {
     let plan = Arc::clone(&ctx.plan);
     plan.validate()?;

@@ -3,8 +3,11 @@
 //! A [`FaultPlan`] rides [`crate::ExecOptions`] the way a
 //! [`crate::DelayModel`] does, but instead of slowing a source it
 //! *breaks* the pipeline on purpose: any operator can be made to panic,
-//! error, stall (bounded) or hang (until cancelled) after N batches, and
-//! a `sip-net` link can be made to drop or hang mid-stream. The chaos
+//! error, stall (bounded) or hang (until cancelled) after N batches. A
+//! remote source is a scan ([`crate::SourceModel::Remote`]), so a dropped
+//! link is an [`FaultKind::Error`] on that scan and a hung link a
+//! [`FaultKind::Stall`]; both heal through the whole-run retry like any
+//! other operator fault. The chaos
 //! harnesses (`crates/engine/tests/chaos.rs`,
 //! `crates/parallel/tests/chaos_dop.rs`) sweep these faults across dop ×
 //! salting × adaptive × retry budgets and assert the lifecycle
@@ -63,29 +66,6 @@ pub struct FaultSpec {
     pub times: u32,
 }
 
-/// How an injected `sip-net` link fault behaves.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LinkFaultKind {
-    /// The link drops mid-transfer: the feeder loses the in-flight batch
-    /// and must reconnect (pay the link latency again) and re-feed from
-    /// the last acked batch.
-    Drop,
-    /// The link hangs for the given duration before delivering.
-    Hang(Duration),
-}
-
-/// An injected fault on a simulated `sip-net` link.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinkFault {
-    /// Batches delivered cleanly before the fault fires.
-    pub after_batches: u64,
-    /// Drop or hang.
-    pub kind: LinkFaultKind,
-    /// How many times the fault fires (each retry hits it again until
-    /// exhausted). `u32::MAX` ≈ a permanently dead link.
-    pub fail_times: u32,
-}
-
 /// A set of injected faults for one execution. Empty by default.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -95,8 +75,6 @@ pub struct FaultPlan {
     by_kind: FxHashMap<String, FaultSpec>,
     /// Faults keyed by physical operator id — precise targeting.
     by_op: FxHashMap<u32, FaultSpec>,
-    /// Fault on the simulated remote link (`sip-net` feeder threads).
-    pub link: Option<LinkFault>,
     /// Fires already spent per spec key, shared by **every clone** of
     /// this plan so bounded faults stay exhausted across retry attempts.
     ledger: Arc<Mutex<FxHashMap<String, u32>>>,
@@ -106,7 +84,7 @@ pub struct FaultPlan {
 /// same faults are equal regardless of how often either has fired.
 impl PartialEq for FaultPlan {
     fn eq(&self, other: &Self) -> bool {
-        self.by_kind == other.by_kind && self.by_op == other.by_op && self.link == other.link
+        self.by_kind == other.by_kind && self.by_op == other.by_op
     }
 }
 impl Eq for FaultPlan {}
@@ -119,7 +97,7 @@ impl FaultPlan {
 
     /// Are any faults installed?
     pub fn is_empty(&self) -> bool {
-        self.by_kind.is_empty() && self.by_op.is_empty() && self.link.is_none()
+        self.by_kind.is_empty() && self.by_op.is_empty()
     }
 
     /// Inject `kind` at every operator whose kind name is `op_kind`,
@@ -180,12 +158,6 @@ impl FaultPlan {
         self
     }
 
-    /// Inject a link fault on the simulated remote feed.
-    pub fn with_link_fault(mut self, fault: LinkFault) -> Self {
-        self.link = Some(fault);
-        self
-    }
-
     /// The fault an operator should arm, if any. Id-targeted faults win
     /// over kind-targeted ones.
     pub fn spec_for(&self, op: u32, kind_name: &str) -> Option<FaultSpec> {
@@ -216,8 +188,8 @@ impl FaultPlan {
 
     /// Check internal consistency, mirroring
     /// [`crate::DelayModel::validate`]: a zero-length stall would be a
-    /// no-op fault and almost certainly a mistyped duration, a fault
-    /// with a zero fire budget never happens, and likewise for links.
+    /// no-op fault and almost certainly a mistyped duration, and a fault
+    /// with a zero fire budget never happens.
     pub fn validate(&self) -> Result<()> {
         for (target, spec) in self
             .by_kind
@@ -236,22 +208,6 @@ impl FaultPlan {
                     "FaultPlan: fault at {target} with times == 0 would never fire; \
                      set times >= 1 or drop the fault"
                 )));
-            }
-        }
-        if let Some(link) = &self.link {
-            if link.fail_times == 0 {
-                return Err(SipError::Config(
-                    "FaultPlan: link fault with fail_times == 0 would never fire; \
-                     set fail_times >= 1 or drop the fault"
-                        .into(),
-                ));
-            }
-            if matches!(link.kind, LinkFaultKind::Hang(d) if d.is_zero()) {
-                return Err(SipError::Config(
-                    "FaultPlan: link hang of 0ns would be a no-op; \
-                     give the hang a duration or drop the fault"
-                        .into(),
-                ));
             }
         }
         Ok(())
@@ -413,20 +369,9 @@ mod tests {
         assert_eq!(stall.validate().unwrap_err().layer(), "config");
         let never = FaultPlan::none().with_kind_fault_times("Scan", 0, FaultKind::Panic, 0);
         assert_eq!(never.validate().unwrap_err().layer(), "config");
-        let link = FaultPlan::none().with_link_fault(LinkFault {
-            after_batches: 1,
-            kind: LinkFaultKind::Drop,
-            fail_times: 0,
-        });
-        assert_eq!(link.validate().unwrap_err().layer(), "config");
         let ok = FaultPlan::none()
             .with_kind_fault("Scan", 1, FaultKind::Stall(Duration::from_millis(1)))
-            .with_kind_fault_times("Filter", 0, FaultKind::Hang, 1)
-            .with_link_fault(LinkFault {
-                after_batches: 1,
-                kind: LinkFaultKind::Drop,
-                fail_times: 2,
-            });
+            .with_kind_fault_times("Filter", 0, FaultKind::Hang, 1);
         assert!(ok.validate().is_ok());
     }
 }

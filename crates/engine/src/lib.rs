@@ -5,14 +5,16 @@
 //! paper's Tukwila substrate (§V): symmetric pipelined hash joins, hash
 //! aggregation, bushy plans, one thread per operator with bounded-channel
 //! backpressure, per-operator cardinality counters, byte-accurate
-//! intermediate-state accounting, source-delay simulation, and — crucially
-//! for AIP — runtime-injectable semijoin filter taps plus state views and
-//! completion callbacks that controllers (in `sip-core`) consume.
+//! intermediate-state accounting, delayed and remote source simulation,
+//! and — crucially for AIP — runtime-injectable semijoin filter taps plus
+//! state views and completion callbacks that controllers (in `sip-core`)
+//! consume.
 
 pub mod context;
 pub mod delay;
 pub mod exec;
 pub mod fault;
+pub mod link;
 pub mod metrics;
 pub mod monitor;
 pub(crate) mod operators;
@@ -26,9 +28,10 @@ pub mod taps;
 pub mod testkit;
 
 pub use context::{ExecContext, ExecOptions, Msg, PartitionMap, ThreadLedger};
-pub use delay::DelayModel;
+pub use delay::{DelayModel, SourceModel};
 pub use exec::{execute, execute_baseline, execute_ctx, execute_with_recovery, QueryOutput};
-pub use fault::{FaultKind, FaultPlan, FaultSpec, LinkFault, LinkFaultKind};
+pub use fault::{FaultKind, FaultPlan, FaultSpec};
+pub use link::LinkSpec;
 pub use metrics::{
     ExecMetrics, FilterStat, MetricsHub, OpMetrics, OpMetricsSnapshot, PartitionSnapshot,
 };

@@ -1,4 +1,5 @@
-//! Simulated network links.
+//! Simulated network links: the transport model of a remote scan
+//! ([`crate::SourceModel::Remote`]).
 
 use std::time::Duration;
 

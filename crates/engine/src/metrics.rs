@@ -317,7 +317,7 @@ pub struct MetricsHub {
     pub state: Arc<StateTracker>,
     /// Filters injected (incremented by controllers).
     pub filters_injected: AtomicU64,
-    /// Simulated network bytes (incremented by sip-net).
+    /// Simulated network bytes (incremented by remote scans).
     pub network_bytes: AtomicU64,
     /// Span/routing collection point (see [`sip_common::trace`]).
     pub trace: Arc<TraceHub>,

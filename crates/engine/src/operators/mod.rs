@@ -319,7 +319,7 @@ pub(crate) fn key_of(row: &Row, positions: &[usize]) -> Option<(u64, Vec<Value>)
 }
 
 /// Normalize a received message to a row batch at the row seams (stateful
-/// operators, the root sink, remote feeds): columnar payloads materialize
+/// operators, the root sink): columnar payloads materialize
 /// rows on receipt, a clean `Eof` ends the stream (`Ok(None)`), and a
 /// disconnect without `Eof` — the upstream operator died — is a hard
 /// attributed error, never a quiet end-of-stream.

@@ -1,16 +1,20 @@
-//! Table scans with delay simulation, plus external-source forwarding.
+//! Table scans over local, delayed and remote sources.
 
-use super::{count_in, Emitter, OpGuard};
+use super::{Emitter, OpGuard};
 use crate::context::{ExecContext, Msg};
-use crate::delay::DelayState;
+use crate::delay::{DelayState, SourceModel};
+use crate::link::LinkSpec;
 use crate::physical::PhysKind;
-use crossbeam::channel::{Receiver, Sender};
-use sip_common::trace::Phase;
-use sip_common::{exec_err, DigestBuffer, OpId, Result, Row, SelVec};
+use crate::taps::TapKernel;
+use crossbeam::channel::Sender;
+use sip_common::trace::{FilterEvent, FilterEventKind, OpTracer, Phase};
+use sip_common::{exec_err, ColumnarBatch, DigestBuffer, OpId, Result, SelVec};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Run a `Scan` node: stream the table's columnar storage, honoring any
-/// configured delay model.
+/// configured source model.
 ///
 /// The hot path is metadata-only: each chunk is a [`slice`] of the table's
 /// column vectors and the scan layout's projection a [`select_columns`] —
@@ -27,6 +31,10 @@ use std::sync::Arc;
 /// scans overlap a slow source's transmission latency. Ownership is decided
 /// with one digest pass per chunk and a selection vector, not per-row
 /// re-hashing.
+///
+/// A remote scan ([`SourceModel::Remote`]) plays the site end of the link
+/// itself: it applies its own tap chain *before* transmission, so pruned
+/// rows never cross the link (see [`RemoteSite::ship`]).
 pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Result<()> {
     let node = ctx.plan.node(op);
     let (table, cols, binding, part) = match &node.kind {
@@ -38,12 +46,25 @@ pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Re
         } => (table.clone(), cols.clone(), binding.clone(), part.clone()),
         other => return Err(exec_err!("run_scan on {}", other.name())),
     };
-    let mut delay = ctx
-        .options
-        .delay_for(&binding, table.name())
-        .cloned()
-        .map(DelayState::new);
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
+    let (mut delay, mut remote) = match ctx.options.source_for(&binding, table.name()) {
+        Some(SourceModel::Delayed(m)) => (Some(DelayState::new(m.clone())), None),
+        Some(SourceModel::Remote(link)) => (
+            None,
+            Some(RemoteSite {
+                link: *link,
+                shipped_filters: 0,
+                kernel: TapKernel::new(),
+            }),
+        ),
+        None => (None, None),
+    };
+    // A remote site probes the tap itself, before the link; the emitter
+    // must not probe the survivors a second time.
+    let emitter = match remote {
+        Some(_) => Emitter::passthrough(ctx, op, out),
+        None => Emitter::new(ctx, op, out),
+    };
+    let mut emitter = emitter.outside_compute();
     let mut guard = OpGuard::new(ctx, op);
     let mut tr = ctx.tracer(op);
     let batch = ctx.options.batch_size;
@@ -52,6 +73,12 @@ pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Re
     let source = table.columns();
     let total = source.len();
     let mut offset = 0usize;
+    // A remote scan opens its connection before the first chunk.
+    if let Some(site) = &remote {
+        if !ctx.cancel.sleep_cancellable(site.link.latency) {
+            return ctx.check_cancel(op);
+        }
+    }
     while offset < total {
         if emitter.cancelled() {
             break;
@@ -97,6 +124,12 @@ pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Re
                 return ctx.check_cancel(op);
             }
         }
+        if let Some(site) = remote.as_mut() {
+            match site.ship(ctx, op, chunk, &mut tr) {
+                Some(shipped) => chunk = shipped,
+                None => return ctx.check_cancel(op),
+            }
+        }
         // Emit at batch granularity so delays interleave with consumption.
         emitter.push_cols(chunk)?;
     }
@@ -105,49 +138,69 @@ pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Re
     Ok(())
 }
 
-/// Run an `ExternalSource` node: forward batches from a channel provided by
-/// the harness (the receiving end of a simulated network link). Whole
-/// batches pass straight through the emitter, row-shaped and columnar
-/// alike — the wire format is whatever the feeding site chose.
-pub(crate) fn run_external(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Result<()> {
-    let rx: Receiver<Msg> = ctx
-        .options
-        .external_inputs
-        .lock()
-        .remove(&op.0)
-        .ok_or_else(|| exec_err!("no external input registered for {op}"))?;
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    loop {
-        let t0 = tr.begin();
-        let msg = rx.recv();
-        tr.end(Phase::ChannelRecv, t0);
-        match msg {
-            Ok(Msg::Batch(b)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, b.len());
-                emitter.push_rows(b.rows)?;
-                emitter.flush()?;
-            }
-            Ok(Msg::Cols(c)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, c.len());
-                emitter.push_cols(c)?;
-            }
-            Ok(Msg::Eof) => break,
-            // The feeder died mid-stream (link failure past its retry
-            // budget, feeder panic): hard error, not end-of-data.
-            Err(_) => return Err(ctx.disconnect_err(op)),
-        }
-    }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+/// The site end of a remote scan's link: how many of the scan's filters it
+/// has been sent, and the kernel that applies them before transmission.
+struct RemoteSite {
+    link: LinkSpec,
+    shipped_filters: usize,
+    kernel: TapKernel,
 }
 
-/// Project helper for tests.
-#[allow(dead_code)]
-pub(crate) fn project_row(row: &Row, cols: &[usize]) -> Row {
-    row.project(cols)
+impl RemoteSite {
+    /// Move one chunk across the link, the Bloomjoin of §V-B:
+    ///
+    /// 1. each filter injected at the scan since the previous chunk is
+    ///    shipped to the site once (`transfer_time + latency`, and a
+    ///    `Shipped` filter event);
+    /// 2. the site probes the scan's tap chain over the chunk, publishing
+    ///    the scan's `aip_probed` / `aip_dropped`;
+    /// 3. only the survivors pay `transfer_time` of their bytes.
+    ///
+    /// Every byte charged is added to the run's `network_bytes`. Returns
+    /// `None` when the run was cancelled during a transfer.
+    fn ship(
+        &mut self,
+        ctx: &ExecContext,
+        op: OpId,
+        mut chunk: ColumnarBatch,
+        tr: &mut OpTracer,
+    ) -> Option<ColumnarBatch> {
+        let chain = ctx.taps[op.index()].snapshot();
+        for f in chain.iter().skip(self.shipped_filters) {
+            let bytes = f.set.size_bytes() as u64;
+            ctx.hub.trace.filter_event(FilterEvent {
+                kind: FilterEventKind::Shipped,
+                site: op.0,
+                label: f.label.clone(),
+                t_nanos: ctx.hub.trace.now(),
+                build_nanos: 0,
+                keys: f.set.n_keys(),
+                bytes,
+            });
+            if !self.charge(ctx, bytes, self.link.latency) {
+                return None;
+            }
+        }
+        self.shipped_filters = chain.len();
+        if !chain.is_empty() {
+            let t0 = tr.begin();
+            self.kernel.begin(chunk.len());
+            if self.kernel.probe_op_cols(ctx, op, &chunk) > 0 {
+                chunk = chunk.gather(self.kernel.sel().as_slice());
+            }
+            tr.end(Phase::TapProbe, t0);
+        }
+        if !chunk.is_empty() && !self.charge(ctx, chunk.size_bytes() as u64, Duration::ZERO) {
+            return None;
+        }
+        Some(chunk)
+    }
+
+    /// Sleep for `bytes` on the link plus `extra`, counting the bytes;
+    /// false when the run was cancelled during the sleep.
+    fn charge(&self, ctx: &ExecContext, bytes: u64, extra: Duration) -> bool {
+        ctx.hub.network_bytes.fetch_add(bytes, Ordering::Relaxed);
+        ctx.cancel
+            .sleep_cancellable(self.link.transfer_time(bytes) + extra)
+    }
 }

@@ -8,7 +8,7 @@
 
 use crate::operators::key_of;
 use crate::physical::{PhysKind, PhysPlan};
-use sip_common::{exec_err, FxHashMap, FxHashSet, OpId, Result, Row};
+use sip_common::{FxHashMap, FxHashSet, OpId, Result, Row};
 use sip_expr::AggAccumulator;
 
 /// Evaluate the plan and return the root's output rows (multiset order
@@ -43,9 +43,6 @@ fn eval_node(plan: &PhysPlan, op: OpId, outputs: &mut [Option<Vec<Row>>]) -> Res
             })
             .map(|(_, r)| r)
             .collect()),
-        PhysKind::ExternalSource { label } => {
-            Err(exec_err!("oracle cannot evaluate external source {label}"))
-        }
         PhysKind::Filter { predicate } => {
             let input = take_input(outputs, node.inputs[0]);
             let mut out = Vec::new();

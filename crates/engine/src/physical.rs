@@ -156,12 +156,6 @@ pub enum PhysKind {
         /// Key positions in the build (input 1) layout.
         build_keys: Vec<usize>,
     },
-    /// Rows arrive from outside this executor (a remote site fragment).
-    /// The executor looks up the feeding channel in `ExecOptions`.
-    ExternalSource {
-        /// Display label (e.g. `remote:partsupp@site1`).
-        label: String,
-    },
     /// Hash-repartition boundary: forward only the input rows owned by one
     /// partition of a `dop`-way hash partitioning. Inserted by
     /// `sip-parallel` above replicated subtrees feeding co-partitioned
@@ -235,7 +229,6 @@ impl PhysKind {
             PhysKind::Aggregate { .. } => "Aggregate",
             PhysKind::Distinct => "Distinct",
             PhysKind::SemiJoin { .. } => "SemiJoin",
-            PhysKind::ExternalSource { .. } => "ExternalSource",
             PhysKind::Exchange { .. } => "Exchange",
             PhysKind::Merge => "Merge",
             PhysKind::ShuffleWrite { .. } => "ShuffleWrite",
@@ -322,7 +315,7 @@ impl PhysPlan {
                 }
                 other => {
                     let arity = match other {
-                        PhysKind::Scan { .. } | PhysKind::ExternalSource { .. } => 0,
+                        PhysKind::Scan { .. } => 0,
                         PhysKind::HashJoin { .. } | PhysKind::SemiJoin { .. } => 2,
                         _ => 1,
                     };
@@ -583,7 +576,6 @@ impl PhysPlan {
             } => {
                 format!("P{probe_keys:?} ⋉ B{build_keys:?}")
             }
-            PhysKind::ExternalSource { label } => label.clone(),
             PhysKind::Exchange {
                 col,
                 partition,

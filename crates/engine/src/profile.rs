@@ -124,6 +124,11 @@ pub struct QueryProfile {
     pub recovered: bool,
     /// Run-level attempts the result took (1 = first try succeeded).
     pub attempts: u32,
+    /// Threads the run spawned (operators plus the progress watchdog).
+    pub threads_spawned: u64,
+    /// Threads still inside their bodies when the run returned; anything
+    /// but 0 is a leak.
+    pub threads_live_at_end: u64,
     /// Degree of parallelism (1 for serial runs).
     pub dop: u32,
     /// Whole-plan nanoseconds per phase.
@@ -214,6 +219,8 @@ impl QueryProfile {
             cancelled: metrics.cancelled,
             recovered: metrics.recovered,
             attempts: metrics.attempts,
+            threads_spawned: metrics.threads_spawned,
+            threads_live_at_end: metrics.threads_live_at_end,
             dop: map.map_or(1, |pm| pm.dop),
             phase_totals: metrics.phase_totals(),
             ops,
@@ -257,6 +264,12 @@ impl QueryProfile {
         let _ = writeln!(out, "  \"cancelled\": {},", self.cancelled);
         let _ = writeln!(out, "  \"recovered\": {},", self.recovered);
         let _ = writeln!(out, "  \"attempts\": {},", self.attempts);
+        let _ = writeln!(out, "  \"threads_spawned\": {},", self.threads_spawned);
+        let _ = writeln!(
+            out,
+            "  \"threads_live_at_end\": {},",
+            self.threads_live_at_end
+        );
         let _ = writeln!(out, "  \"dop\": {},", self.dop);
         let _ = writeln!(out, "  \"phase_names\": {},", json_phase_names());
         let _ = writeln!(
@@ -483,6 +496,11 @@ mod tests {
         assert!(json.contains("\"ops\": ["));
         assert!(json.contains("\"partitions\": ["));
         assert!(json.contains("\"skew\": {"));
+        // The thread ledger is exported, and balanced once the run returns.
+        assert!(p.threads_spawned > 0);
+        assert!(json.contains(&format!("\"threads_spawned\": {}", p.threads_spawned)));
+        assert_eq!(p.threads_live_at_end, 0);
+        assert!(json.contains("\"threads_live_at_end\": 0"));
         let open = json.matches('{').count();
         let close = json.matches('}').count();
         assert_eq!(open, close, "unbalanced braces:\n{json}");

@@ -25,15 +25,12 @@ use sip_common::retry::{self, RetryState};
 use sip_common::Result;
 
 /// Run-level retry: execute `run` under the options' [`sip_common::RetryPolicy`],
-/// re-running the whole query (with [`ExecOptions::fresh_clone`]d
-/// options) on retryable failures until it succeeds or the budget is
-/// spent. This is the one recovery scope, wrapped around
-/// [`crate::execute_ctx`] by the serial and partition-parallel entry
-/// points. An error an inner retry scope already marked exhausted passes
-/// through without spending this loop's budget again.
-///
-/// Runs with external input feeds are executed exactly once: a consumed
-/// feed channel cannot be replayed.
+/// re-running the whole query (with cloned options) on retryable failures
+/// until it succeeds or the budget is spent. This is the one recovery
+/// scope, wrapped around [`crate::execute_ctx`] by the serial,
+/// partition-parallel and remote-source entry points. An error an inner
+/// retry scope already marked exhausted passes through without spending
+/// this loop's budget again.
 pub fn run_with_recovery(
     options: ExecOptions,
     mut run: impl FnMut(ExecOptions) -> Result<QueryOutput>,
@@ -41,7 +38,7 @@ pub fn run_with_recovery(
     let Some(policy) = options.retry.clone() else {
         return run(options);
     };
-    if policy.max_attempts <= 1 || !options.external_inputs.lock().is_empty() {
+    if policy.max_attempts <= 1 {
         return run(options);
     }
     let mut state = RetryState::new(policy);
@@ -49,7 +46,7 @@ pub fn run_with_recovery(
     loop {
         // Prepared before `run` consumes the options; shares the fault
         // ledger so bounded chaos faults stay exhausted across attempts.
-        let next = opts.fresh_clone();
+        let next = opts.clone();
         match run(opts) {
             Ok(mut out) => {
                 out.metrics.attempts = state.attempt();

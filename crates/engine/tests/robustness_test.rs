@@ -1,20 +1,18 @@
 //! Robustness and failure-injection tests for the push engine: runtime
 //! expression errors must propagate (not hang), AIP filters must be
 //! droppable mid-query without correctness loss (the §V memory-pressure
-//! valve), external sources must integrate cleanly, and the pipelined
-//! semijoin must agree with the oracle under adversarial schedules.
+//! valve), and the pipelined semijoin must agree with the oracle under
+//! adversarial schedules.
 
-use crossbeam::channel::bounded;
-use sip_common::{hash_key, Batch, DataType, Field, Row, Schema, Value};
+use sip_common::{hash_key, DataType, Field, Row, Schema, Value};
 use sip_data::{Catalog, Table};
 use sip_engine::{
     canonical, execute, execute_baseline, execute_oracle, lower, ExecContext, ExecMonitor,
-    ExecOptions, InjectedFilter, MergePolicy, Msg, NoopMonitor, PhysKind, PhysNode, PhysPlan,
-    QueryOutput,
+    ExecOptions, InjectedFilter, MergePolicy, PhysKind,
 };
 use sip_expr::{AggFunc, Expr};
 use sip_filter::{AipSet, BucketedKeySet};
-use sip_plan::{AttrCatalog, QueryBuilder};
+use sip_plan::QueryBuilder;
 use std::sync::Arc;
 
 fn small_catalog(n: i64) -> Catalog {
@@ -146,73 +144,6 @@ fn hostile_filter_on_join_key_prunes_consistently() {
     let expected = canonical(&execute_oracle(&build(true)).unwrap());
     let out = execute(build(false), Arc::new(EvenFilter), ExecOptions::default()).unwrap();
     assert_eq!(canonical(&out.rows), expected);
-}
-
-#[test]
-fn external_source_feeds_pipeline() {
-    // Hand-build a plan: ExternalSource -> Aggregate(sum v by k).
-    let mut attrs = AttrCatalog::new();
-    let k = attrs.base("ext", "ext", "k", 0, DataType::Int);
-    let v = attrs.base("ext", "ext", "v", 1, DataType::Int);
-    let s = attrs.derived("s", DataType::Float);
-    let nodes = vec![
-        PhysNode {
-            id: sip_common::OpId(0),
-            kind: PhysKind::ExternalSource {
-                label: "test-feed".into(),
-            },
-            inputs: vec![],
-            layout: vec![k, v],
-        },
-        PhysNode {
-            id: sip_common::OpId(1),
-            kind: PhysKind::Aggregate {
-                group_cols: vec![0],
-                aggs: vec![sip_engine::BoundAgg {
-                    func: AggFunc::Sum,
-                    input: Expr::Col(1),
-                }],
-            },
-            inputs: vec![sip_common::OpId(0)],
-            layout: vec![k, s],
-        },
-    ];
-    let plan = Arc::new(PhysPlan::from_nodes(nodes, sip_common::OpId(1), attrs).unwrap());
-    let (tx, rx) = bounded::<Msg>(4);
-    let options = ExecOptions::default();
-    options.external_inputs.lock().insert(0, rx);
-    let feeder = std::thread::spawn(move || {
-        for chunk in 0..5i64 {
-            let rows: Vec<Row> = (0..20)
-                .map(|i| Row::new(vec![Value::Int(i % 4), Value::Int(chunk * 20 + i)]))
-                .collect();
-            tx.send(Msg::Batch(Batch::new(rows))).unwrap();
-        }
-        tx.send(Msg::Eof).unwrap();
-    });
-    let out: QueryOutput = execute(plan, Arc::new(NoopMonitor), options).unwrap();
-    feeder.join().unwrap();
-    assert_eq!(out.rows.len(), 4); // four groups
-    let total: f64 = out.rows.iter().map(|r| r.get(1).as_float().unwrap()).sum();
-    // Sum of 0..100 = 4950.
-    assert_eq!(total, 4950.0);
-}
-
-#[test]
-fn missing_external_input_errors_cleanly() {
-    let mut attrs = AttrCatalog::new();
-    let k = attrs.base("ext", "ext", "k", 0, DataType::Int);
-    let nodes = vec![PhysNode {
-        id: sip_common::OpId(0),
-        kind: PhysKind::ExternalSource {
-            label: "unwired".into(),
-        },
-        inputs: vec![],
-        layout: vec![k],
-    }];
-    let plan = Arc::new(PhysPlan::from_nodes(nodes, sip_common::OpId(0), attrs).unwrap());
-    let err = execute_baseline(plan, ExecOptions::default());
-    assert!(err.is_err());
 }
 
 #[test]

@@ -16,8 +16,6 @@ use sip_expr::{CmpOp, Expr};
 const DEFAULT_EQ_SEL: f64 = 0.05;
 const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
 const DEFAULT_LIKE_SEL: f64 = 0.1;
-/// Assumed cardinality of an external source with no hint.
-const DEFAULT_EXTERNAL_ROWS: f64 = 1_000.0;
 
 /// Column-level metadata propagated through the plan.
 #[derive(Clone, Debug)]
@@ -102,36 +100,26 @@ pub struct Estimator {
 impl Estimator {
     /// Static (pre-execution) estimation.
     pub fn estimate(plan: &PhysPlan) -> Estimator {
-        Self::estimate_with(plan, None, &FxHashMap::default())
+        Self::estimate_with_actuals(plan, &[])
     }
 
     /// Runtime re-estimation (`UPDATEESTIMATES`): nodes that have finished
     /// pin their actual cardinality; unfinished nodes use
-    /// `max(estimate, observed-so-far)`.
+    /// `max(estimate, observed-so-far)`. Nodes past the end of `actuals`
+    /// keep their static estimate.
     pub fn estimate_with_actuals(plan: &PhysPlan, actuals: &[RuntimeActual]) -> Estimator {
-        Self::estimate_with(plan, Some(actuals), &FxHashMap::default())
-    }
-
-    /// Full-control estimation with external-source row hints.
-    pub fn estimate_with(
-        plan: &PhysPlan,
-        actuals: Option<&[RuntimeActual]>,
-        external_hints: &FxHashMap<u32, f64>,
-    ) -> Estimator {
         let mut ests: Vec<NodeEst> = Vec::with_capacity(plan.nodes.len());
         for node in &plan.nodes {
-            let mut est = estimate_node(plan, node.id.index(), &ests, external_hints);
-            if let Some(acts) = actuals {
-                if let Some(a) = acts.get(node.id.index()) {
-                    if a.finished {
-                        est.rows = a.rows_out as f64;
-                    } else {
-                        est.rows = est.rows.max(a.rows_out as f64);
-                    }
-                    let rows = est.rows;
-                    for meta in est.cols.values_mut() {
-                        meta.distinct = meta.distinct.min(rows.max(1.0));
-                    }
+            let mut est = estimate_node(plan, node.id.index(), &ests);
+            if let Some(a) = actuals.get(node.id.index()) {
+                if a.finished {
+                    est.rows = a.rows_out as f64;
+                } else {
+                    est.rows = est.rows.max(a.rows_out as f64);
+                }
+                let rows = est.rows;
+                for meta in est.cols.values_mut() {
+                    meta.distinct = meta.distinct.min(rows.max(1.0));
                 }
             }
             ests.push(est);
@@ -150,12 +138,7 @@ impl Estimator {
     }
 }
 
-fn estimate_node(
-    plan: &PhysPlan,
-    idx: usize,
-    ests: &[NodeEst],
-    external_hints: &FxHashMap<u32, f64>,
-) -> NodeEst {
+fn estimate_node(plan: &PhysPlan, idx: usize, ests: &[NodeEst]) -> NodeEst {
     let node = &plan.nodes[idx];
     match &node.kind {
         PhysKind::Scan {
@@ -192,18 +175,6 @@ fn estimate_node(
                 metas.insert(attr, meta);
             }
             NodeEst { rows, cols: metas }
-        }
-        PhysKind::ExternalSource { .. } => {
-            let rows = external_hints
-                .get(&node.id.0)
-                .copied()
-                .unwrap_or(DEFAULT_EXTERNAL_ROWS);
-            let cols = node
-                .layout
-                .iter()
-                .map(|&a| (a, ColMeta::derived(rows)))
-                .collect();
-            NodeEst { rows, cols }
         }
         PhysKind::Filter { predicate } => {
             let child = &ests[node.inputs[0].index()];

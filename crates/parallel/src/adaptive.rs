@@ -174,11 +174,10 @@ impl AdaptiveExec {
         ));
 
         // Stage 1: run the subtree partition-parallel, collecting rows.
-        // The caller's options are reserved for stage 2 (`ExecOptions`
-        // owns channel state and is deliberately not `Clone`), so stage 1
-        // runs on a fresh clone with forced row collection.
+        // The caller's options are reserved for stage 2, so stage 1 runs
+        // on a clone with forced row collection.
         let stage1_plan = Arc::new(extract_stage1(&plan, &sub, split)?);
-        let mut stage1_opts = options.fresh_clone();
+        let mut stage1_opts = options.clone();
         stage1_opts.collect_rows = true;
         let exec1 = PartitionedExec::with_config(self.dop, self.config.partition.clone());
         let t0 = std::time::Instant::now();

@@ -30,8 +30,7 @@ pub enum PartitionError {
     /// plan is parallelism-free (e.g. a single scan with no stateful work).
     NotPartitionable,
     /// The plan contains operators that cannot be cloned across partitions
-    /// (external sources are fed by op-id-keyed channels; already-expanded
-    /// plans must not be expanded again).
+    /// (already-expanded plans must not be expanded again).
     Unsupported(&'static str),
 }
 
@@ -78,9 +77,6 @@ pub fn partition_plan_cfg(
     }
     for node in &plan.nodes {
         match node.kind {
-            PhysKind::ExternalSource { .. } => {
-                return Err(PartitionError::Unsupported("ExternalSource"))
-            }
             PhysKind::Exchange { .. }
             | PhysKind::Merge
             | PhysKind::ShuffleWrite { .. }
@@ -978,8 +974,7 @@ impl Expander<'_> {
                     )),
                 }
             }
-            PhysKind::ExternalSource { .. }
-            | PhysKind::Exchange { .. }
+            PhysKind::Exchange { .. }
             | PhysKind::Merge
             | PhysKind::ShuffleWrite { .. }
             | PhysKind::ShuffleRead { .. } => {

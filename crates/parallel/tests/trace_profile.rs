@@ -122,8 +122,8 @@ fn run_cell(
 }
 
 /// Does the batch-loop invariant (`Compute` count == batches in) apply to
-/// this operator kind? Scans produce rather than consume batches, reads
-/// and merges only pull, and external sources never run in these plans.
+/// this operator kind? Scans produce rather than consume batches, and
+/// reads and merges only pull.
 fn batch_loop_op(kind: &PhysKind) -> bool {
     matches!(
         kind,

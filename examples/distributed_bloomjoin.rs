@@ -12,7 +12,6 @@ use sip::data::{generate, TpchConfig};
 use sip::engine::ExecOptions;
 use sip::net::{run_distributed, LinkSpec, RemoteConfig};
 use sip::queries::build_query;
-use std::sync::atomic::Ordering;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = generate(&TpchConfig::uniform(0.02))?;
@@ -40,10 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<14} {:>8.1?} {:>12} {:>12} {:>14.2} {:>14.1}",
             strategy.name(),
             run.output.metrics.wall_time,
-            run.net.rows_shipped.load(Ordering::Relaxed),
-            run.net.rows_pruned_remote.load(Ordering::Relaxed),
-            run.net.row_bytes.load(Ordering::Relaxed) as f64 / 1e6,
-            run.net.filter_bytes.load(Ordering::Relaxed) as f64 / 1e3,
+            run.net.rows_shipped,
+            run.net.rows_pruned_remote,
+            run.net.row_bytes() as f64 / 1e6,
+            run.net.filter_bytes as f64 / 1e3,
         );
     }
     println!(
