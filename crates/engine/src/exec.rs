@@ -15,9 +15,9 @@
 //!   operator id, kind, partition, and the panic payload, instead of a
 //!   closed channel that looks like EOF downstream.
 //! * **Error-vs-Eof discipline.** A channel that disconnects without a
-//!   clean [`Msg::Eof`] means the upstream operator died; every consumer
-//!   (operators and the root drain here) treats it as a hard error rather
-//!   than end-of-stream.
+//!   clean [`Msg::Eof`] means the upstream operator died; both receive
+//!   seams (the operator input driver and the root drain here) treat it
+//!   as a hard error rather than end-of-stream.
 //! * **First-error propagation with cancellation.** Failures land in the
 //!   context's error slots ([`ExecContext::fail`]) and trip the shared
 //!   [`sip_common::CancelToken`]; every other operator observes the token
@@ -34,11 +34,18 @@
 use crate::context::{ExecContext, ExecOptions, Msg};
 use crate::metrics::ExecMetrics;
 use crate::monitor::ExecMonitor;
-use crate::operators;
+use crate::operators::aggregate::{Aggregate, Distinct};
+use crate::operators::driver::{drive, Payload};
+use crate::operators::exchange::{Exchange, Union};
+use crate::operators::hash_join::HashJoin;
+use crate::operators::scan;
+use crate::operators::semi_join::SemiJoin;
+use crate::operators::shuffle::ShuffleWrite;
+use crate::operators::stateless::{Filter, Project};
 use crate::physical::{PhysKind, PhysPlan};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sip_common::error::ExecFailure;
-use sip_common::{OpId, Result, Row, SipError};
+use sip_common::{exec_err, OpId, Result, Row, SipError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -135,44 +142,79 @@ fn spawn_operator(
     ctx: &Arc<ExecContext>,
     monitor: &Arc<dyn ExecMonitor>,
     op: OpId,
-    mut ins: Vec<Receiver<Msg>>,
+    ins: Vec<Receiver<Msg>>,
     out: Sender<Msg>,
 ) -> JoinHandle<()> {
     let monitor = Arc::clone(monitor);
     let kind_name = ctx.plan.node(op).kind.name();
     spawn_counted(ctx, format!("sip-{op}-{kind_name}"), move |ctx| {
-        let result = catch_unwind(AssertUnwindSafe(|| match &ctx.plan.node(op).kind {
-            PhysKind::Scan { .. } => operators::scan::run_scan(ctx, op, out),
-            PhysKind::Filter { .. } => {
-                operators::stateless::run_filter(ctx, op, ins.remove(0), out)
+        let result = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+            let monitor: &dyn ExecMonitor = monitor.as_ref();
+            match &ctx.plan.node(op).kind {
+                PhysKind::Scan { .. } => scan::run_scan(ctx, op, out),
+                PhysKind::Filter { predicate } => {
+                    drive(ctx, op, ins, Filter::new(ctx, op, predicate, out))
+                }
+                PhysKind::Project { exprs } => {
+                    drive(ctx, op, ins, Project::new(ctx, op, exprs, out))
+                }
+                PhysKind::HashJoin {
+                    left_keys,
+                    right_keys,
+                    residual,
+                } => {
+                    let keys = [left_keys.as_slice(), right_keys];
+                    let join = HashJoin::new(ctx, monitor, op, keys, residual, out);
+                    drive(ctx, op, ins, join)
+                }
+                PhysKind::Aggregate { group_cols, aggs } => {
+                    let agg = Aggregate::new(ctx, monitor, op, group_cols, aggs, out);
+                    drive(ctx, op, ins, agg)
+                }
+                PhysKind::Distinct => drive(ctx, op, ins, Distinct::new(ctx, monitor, op, out)),
+                PhysKind::SemiJoin {
+                    probe_keys,
+                    build_keys,
+                } => {
+                    let semi = SemiJoin::new(ctx, monitor, op, probe_keys, build_keys, out);
+                    drive(ctx, op, ins, semi)
+                }
+                PhysKind::Exchange {
+                    col,
+                    partition,
+                    dop,
+                } => drive(
+                    ctx,
+                    op,
+                    ins,
+                    Exchange::new(ctx, op, *col, *partition, *dop, out),
+                ),
+                PhysKind::Merge => drive(ctx, op, ins, Union::new(ctx, op, out)),
+                PhysKind::ShuffleWrite {
+                    mesh,
+                    col,
+                    writer,
+                    dop,
+                    salt,
+                } => {
+                    let write =
+                        ShuffleWrite::new(ctx, monitor, op, *mesh, *col, *writer, *dop, salt, out)?;
+                    drive(ctx, op, ins, write)
+                }
+                PhysKind::ShuffleRead {
+                    mesh, partition, ..
+                } => {
+                    // The mesh inputs, one per writer, then the paired
+                    // writer's tree input, which carries only its Eof.
+                    let mut inputs =
+                        ctx.take_shuffle_receivers(*mesh, *partition)
+                            .ok_or_else(|| {
+                                exec_err!("mesh {mesh} partition {partition} has no receivers")
+                            })?;
+                    inputs.extend(ins);
+                    drive(ctx, op, inputs, Union::new(ctx, op, out))
+                }
             }
-            PhysKind::Project { .. } => {
-                operators::stateless::run_project(ctx, op, ins.remove(0), out)
-            }
-            PhysKind::HashJoin { .. } => {
-                let right = ins.remove(1);
-                let left = ins.remove(0);
-                operators::hash_join::run_hash_join(ctx, &monitor, op, left, right, out)
-            }
-            PhysKind::Aggregate { .. } => {
-                operators::aggregate::run_aggregate(ctx, &monitor, op, ins.remove(0), out)
-            }
-            PhysKind::Distinct => {
-                operators::aggregate::run_distinct(ctx, &monitor, op, ins.remove(0), out)
-            }
-            PhysKind::SemiJoin { .. } => {
-                let build = ins.remove(1);
-                let probe = ins.remove(0);
-                operators::semi_join::run_semi_join(ctx, &monitor, op, probe, build, out)
-            }
-            PhysKind::Exchange { .. } => {
-                operators::exchange::run_exchange(ctx, op, ins.remove(0), out)
-            }
-            PhysKind::Merge => operators::exchange::run_merge(ctx, op, ins, out),
-            PhysKind::ShuffleWrite { .. } => {
-                operators::shuffle::run_shuffle_write(ctx, &monitor, op, ins.remove(0), out)
-            }
-            PhysKind::ShuffleRead { .. } => operators::shuffle::run_shuffle_read(ctx, op, ins, out),
         }));
         match result {
             Ok(Ok(())) => {}
@@ -301,25 +343,14 @@ pub fn execute_ctx(ctx: Arc<ExecContext>, monitor: Arc<dyn ExecMonitor>) -> Resu
     let mut rows: Vec<Row> = Vec::new();
     let mut rows_out = 0u64;
     let mut clean_eof = false;
-    loop {
-        match root_rx.recv() {
-            Ok(Msg::Batch(b)) => {
-                rows_out += b.len() as u64;
-                if ctx.options.collect_rows {
-                    rows.extend(b.rows);
-                }
-            }
-            Ok(Msg::Cols(c)) => {
-                rows_out += c.len() as u64;
-                if ctx.options.collect_rows {
-                    rows.extend(c.to_rows());
-                }
-            }
-            Ok(Msg::Eof) => {
-                clean_eof = true;
-                break;
-            }
-            Err(_) => break,
+    while let Ok(msg) = root_rx.recv() {
+        let Some(payload) = Payload::of(msg) else {
+            clean_eof = true;
+            break;
+        };
+        rows_out += payload.len() as u64;
+        if ctx.options.collect_rows {
+            rows.extend(payload.into_rows().rows);
         }
     }
     if !clean_eof {

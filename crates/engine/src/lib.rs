@@ -9,6 +9,14 @@
 //! and — crucially for AIP — runtime-injectable semijoin filter taps plus
 //! state views and completion callbacks that controllers (in `sip-core`)
 //! consume.
+//!
+//! Scans are sources with their own loop. Every other operator is written
+//! as push callbacks — the producer hands it each batch (`push`), each
+//! input's `Eof` (`input_done`), and the end (`close`) — and one input
+//! driver owns the receive side for all of them: the select over live
+//! inputs, receive tracing, the per-batch fault and cancellation check,
+//! the input counters, the rule that a disconnect without `Eof` is an
+//! attributed error, and stopping once the downstream has hung up.
 
 pub mod context;
 pub mod delay;

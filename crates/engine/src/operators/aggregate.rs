@@ -9,13 +9,14 @@
 //! pass per batch; the group probe compares values positionally, so the
 //! per-row path neither re-hashes nor clones a key.
 
-use super::{count_in, msg_rows, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::{Emitter, Stateful};
 use crate::context::{ExecContext, Msg};
-use crate::monitor::{CompletionEvent, ExecMonitor, StateView};
-use crate::physical::{BoundAgg, PhysKind};
-use crossbeam::channel::{Receiver, Sender};
+use crate::monitor::{ExecMonitor, StateView};
+use crate::physical::BoundAgg;
+use crossbeam::channel::Sender;
 use sip_common::trace::Phase;
-use sip_common::{exec_err, AttrId, DigestBuffer, FxHashMap, OpId, Result, Row};
+use sip_common::{AttrId, DigestBuffer, FxHashMap, OpId, Result, Row};
 use sip_expr::AggAccumulator;
 use std::sync::Arc;
 
@@ -24,15 +25,112 @@ struct Group {
     accs: Vec<AggAccumulator>,
 }
 
-struct GroupStateView<'a> {
-    layout: &'a [AttrId],
-    groups: &'a FxHashMap<u64, Vec<Group>>,
+/// An `Aggregate` node: blocking — groups build until the input's `Eof`,
+/// then every group is emitted.
+pub(crate) struct Aggregate<'a> {
+    s: Stateful<'a>,
+    group_cols: &'a [usize],
+    aggs: &'a [BoundAgg],
+    groups: FxHashMap<u64, Vec<Group>>,
     bytes: usize,
+    digests: DigestBuffer,
 }
 
-impl StateView for GroupStateView<'_> {
+impl<'a> Aggregate<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        group_cols: &'a [usize],
+        aggs: &'a [BoundAgg],
+        out: Sender<Msg>,
+    ) -> Self {
+        // Emission runs after the build, outside any Compute span, so
+        // auto-flush time must not be marked nested.
+        let emitter = Emitter::new(ctx, op, out).outside_compute();
+        Aggregate {
+            s: Stateful::new(ctx, monitor, op, emitter),
+            group_cols,
+            aggs,
+            groups: FxHashMap::default(),
+            bytes: 0,
+            digests: DigestBuffer::default(),
+        }
+    }
+}
+
+impl PushOp for Aggregate<'_> {
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let batch = payload.into_rows();
+        let (group_cols, aggs, s) = (self.group_cols, self.aggs, &mut self.s);
+        s.digest(0, &mut self.digests, &batch.rows, group_cols);
+        let t_upd = s.tr.begin();
+        for (i, row) in batch.rows.iter().enumerate() {
+            if self.digests.is_null_key(i) {
+                continue; // NULL group keys are skipped (workloads are NULL-free)
+            }
+            let bucket = self.groups.entry(self.digests.digests()[i]).or_default();
+            let existing = bucket.iter_mut().find(|g| {
+                group_cols
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &p)| g.key.get(j) == row.get(p))
+            });
+            let group = match existing {
+                Some(g) => g,
+                None => {
+                    let key = row.project(group_cols);
+                    let accs: Vec<AggAccumulator> =
+                        aggs.iter().map(|a| a.func.accumulator()).collect();
+                    let delta =
+                        key.size_bytes() + accs.iter().map(|a| a.size_bytes()).sum::<usize>() + 16;
+                    self.bytes += delta;
+                    s.add_state(delta as i64);
+                    bucket.push(Group { key, accs });
+                    bucket.last_mut().unwrap()
+                }
+            };
+            for (acc, spec) in group.accs.iter_mut().zip(aggs.iter()) {
+                acc.update(&spec.input.eval(row)?)?;
+            }
+        }
+        s.tr.add(Phase::Compute, t_upd);
+        Ok(())
+    }
+
+    fn input_done(&mut self, _input: usize) -> Result<()> {
+        // The subexpression below this aggregate is now fully computed; its
+        // group keys are a candidate AIP set (Example 3.2).
+        self.s.finish_collector(0);
+        self.s.report(0, self);
+        for bucket in self.groups.values() {
+            for g in bucket {
+                let mut vals: Vec<sip_common::Value> = g.key.values().to_vec();
+                for acc in &g.accs {
+                    vals.push(acc.finish());
+                }
+                self.s.emitter.push(Row::new(vals))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn hung_up(&self) -> bool {
+        self.s.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        self.s.close(self.bytes)
+    }
+}
+
+/// The completed groups, as the controller sees them: one row per group
+/// key.
+impl StateView for Aggregate<'_> {
     fn layout(&self) -> &[AttrId] {
-        self.layout
+        // The group keys' attribute layout = the first |group_cols| output
+        // attrs.
+        &self.s.ctx.plan.node(self.s.op).layout[..self.group_cols.len()]
     }
     fn len(&self) -> usize {
         self.groups.values().map(Vec::len).sum()
@@ -53,138 +151,80 @@ impl StateView for GroupStateView<'_> {
     fn distinct_hint(&self, pos: usize) -> Option<usize> {
         // Rows yielded are the group keys; with a single group column the
         // group count is its exact distinct count.
-        (self.layout.len() == 1 && pos == 0).then(|| self.groups.values().map(Vec::len).sum())
+        (self.group_cols.len() == 1 && pos == 0).then(|| self.len())
     }
 }
 
-/// Run an `Aggregate` node.
-pub(crate) fn run_aggregate(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
-    op: OpId,
-    input: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (group_cols, aggs): (Vec<usize>, Vec<BoundAgg>) = match &node.kind {
-        PhysKind::Aggregate { group_cols, aggs } => (group_cols.clone(), aggs.clone()),
-        other => return Err(exec_err!("run_aggregate on {}", other.name())),
-    };
-    // The group keys' attribute layout = the first |group_cols| output attrs.
-    let key_layout: Vec<AttrId> = node.layout[..group_cols.len()].to_vec();
-    let mut groups: FxHashMap<u64, Vec<Group>> = FxHashMap::default();
-    let mut bytes = 0usize;
-    let mut rows_in = 0u64;
-    let mut collector = ctx.take_collector(op, 0);
-    let metrics = ctx.hub.op(op);
-    // The build loop has no emitter (aggregation is blocking), so the
-    // guard is the only per-batch cancellation check on this path.
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let mut digests = DigestBuffer::default();
-
-    loop {
-        let t_recv = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t_recv);
-        let Some(batch) = msg_rows(ctx, op, msg)? else {
-            break;
-        };
-        guard.on_batch()?;
-        count_in(ctx, op, 0, batch.len());
-        rows_in += batch.len() as u64;
-        // One hash pass over the group columns for the whole batch — shared
-        // with the collector's working-copy build below.
-        let t0 = tr.begin();
-        digests.compute(&batch.rows, &group_cols);
-        tr.end(Phase::Compute, t0);
-        if let Some(c) = collector.as_mut() {
-            let t0 = tr.begin();
-            c.admit_batch(&batch.rows, &group_cols, &digests);
-            tr.end(Phase::AdmitBuild, t0);
-        }
-        let t_upd = tr.begin();
-        for (i, row) in batch.rows.iter().enumerate() {
-            if digests.is_null_key(i) {
-                continue; // NULL group keys are skipped (workloads are NULL-free)
-            }
-            let bucket = groups.entry(digests.digests()[i]).or_default();
-            let existing = bucket.iter_mut().find(|g| {
-                group_cols
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &p)| g.key.get(j) == row.get(p))
-            });
-            let group = match existing {
-                Some(g) => g,
-                None => {
-                    let key = row.project(&group_cols);
-                    let accs: Vec<AggAccumulator> =
-                        aggs.iter().map(|a| a.func.accumulator()).collect();
-                    let delta =
-                        key.size_bytes() + accs.iter().map(|a| a.size_bytes()).sum::<usize>() + 16;
-                    bytes += delta;
-                    metrics.add_state(delta as i64, &ctx.hub.state);
-                    bucket.push(Group { key, accs });
-                    bucket.last_mut().unwrap()
-                }
-            };
-            for (acc, spec) in group.accs.iter_mut().zip(aggs.iter()) {
-                acc.update(&spec.input.eval(row)?)?;
-            }
-        }
-        tr.add(Phase::Compute, t_upd);
-    }
-
-    if let Some(mut c) = collector.take() {
-        c.finish(ctx);
-    }
-    // The subexpression below this aggregate is now fully computed; its
-    // group keys are a candidate AIP set (Example 3.2).
-    let view = GroupStateView {
-        layout: &key_layout,
-        groups: &groups,
-        bytes,
-    };
-    monitor.on_input_complete(
-        ctx,
-        &CompletionEvent {
-            op,
-            input: 0,
-            rows_in,
-            view: &view,
-        },
-    );
-
-    // Emit results. The emission loop runs outside any Compute span (the
-    // build spans closed with the input), so auto-flush time must not be
-    // marked nested.
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    for bucket in groups.values() {
-        for g in bucket {
-            let mut vals: Vec<sip_common::Value> = g.key.values().to_vec();
-            for acc in &g.accs {
-                vals.push(acc.finish());
-            }
-            emitter.push(Row::new(vals))?;
-        }
-    }
-    metrics.add_state(-(bytes as i64), &ctx.hub.state);
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
-}
-
-struct DistinctStateView<'a> {
-    layout: &'a [AttrId],
-    seen: &'a FxHashMap<u64, Vec<Row>>,
+/// A `Distinct` node — pipelined: first occurrences are emitted
+/// immediately (§III's running example reads the distinct operator's state
+/// while the query continues). Rows are hashed once per batch (over all
+/// columns) and deduplicated by digest bucket + exact compare.
+pub(crate) struct Distinct<'a> {
+    s: Stateful<'a>,
+    all_cols: Vec<usize>,
+    seen: FxHashMap<u64, Vec<Row>>,
     n_rows: usize,
     bytes: usize,
+    digests: DigestBuffer,
 }
 
-impl StateView for DistinctStateView<'_> {
+impl<'a> Distinct<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        out: Sender<Msg>,
+    ) -> Self {
+        Distinct {
+            s: Stateful::new(ctx, monitor, op, Emitter::new(ctx, op, out)),
+            all_cols: (0..ctx.plan.node(op).layout.len()).collect(),
+            seen: FxHashMap::default(),
+            n_rows: 0,
+            bytes: 0,
+            digests: DigestBuffer::default(),
+        }
+    }
+}
+
+impl PushOp for Distinct<'_> {
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let batch = payload.into_rows();
+        let s = &mut self.s;
+        s.digest(0, &mut self.digests, &batch.rows, &self.all_cols);
+        let t_dedup = s.tr.begin();
+        for (i, row) in batch.rows.into_iter().enumerate() {
+            let bucket = self.seen.entry(self.digests.digests()[i]).or_default();
+            if !bucket.iter().any(|r| r == &row) {
+                let delta = row.size_bytes() + 16;
+                self.bytes += delta;
+                self.n_rows += 1;
+                s.add_state(delta as i64);
+                bucket.push(row.clone());
+                s.emitter.push(row)?;
+            }
+        }
+        s.tr.add(Phase::Compute, t_dedup);
+        s.emitter.flush()
+    }
+
+    fn input_done(&mut self, _input: usize) -> Result<()> {
+        self.s.finish_collector(0);
+        self.s.report(0, self);
+        Ok(())
+    }
+
+    fn hung_up(&self) -> bool {
+        self.s.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        self.s.close(self.bytes)
+    }
+}
+
+impl StateView for Distinct<'_> {
     fn layout(&self) -> &[AttrId] {
-        self.layout
+        &self.s.ctx.plan.node(self.s.op).layout
     }
     fn len(&self) -> usize {
         self.n_rows
@@ -203,89 +243,6 @@ impl StateView for DistinctStateView<'_> {
         }
     }
     fn distinct_hint(&self, pos: usize) -> Option<usize> {
-        (self.layout.len() == 1 && pos == 0).then_some(self.n_rows)
+        (self.all_cols.len() == 1 && pos == 0).then_some(self.n_rows)
     }
-}
-
-/// Run a `Distinct` node — pipelined: first occurrences are emitted
-/// immediately (§III's running example reads the distinct operator's state
-/// while the query continues). Rows are hashed once per batch (over all
-/// columns) and deduplicated by digest bucket + exact compare.
-pub(crate) fn run_distinct(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
-    op: OpId,
-    input: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let layout = node.layout.clone();
-    let all_cols: Vec<usize> = (0..layout.len()).collect();
-    let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-    let mut n_rows = 0usize;
-    let mut bytes = 0usize;
-    let mut rows_in = 0u64;
-    let mut collector = ctx.take_collector(op, 0);
-    let metrics = ctx.hub.op(op);
-    let mut emitter = Emitter::new(ctx, op, out);
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let mut digests = DigestBuffer::default();
-
-    loop {
-        let t_recv = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t_recv);
-        let Some(batch) = msg_rows(ctx, op, msg)? else {
-            break;
-        };
-        guard.on_batch()?;
-        count_in(ctx, op, 0, batch.len());
-        rows_in += batch.len() as u64;
-        let t0 = tr.begin();
-        digests.compute(&batch.rows, &all_cols);
-        tr.end(Phase::Compute, t0);
-        if let Some(c) = collector.as_mut() {
-            let t0 = tr.begin();
-            c.admit_batch(&batch.rows, &all_cols, &digests);
-            tr.end(Phase::AdmitBuild, t0);
-        }
-        let t_dedup = tr.begin();
-        for (i, row) in batch.rows.into_iter().enumerate() {
-            let bucket = seen.entry(digests.digests()[i]).or_default();
-            if !bucket.iter().any(|r| r == &row) {
-                let delta = row.size_bytes() + 16;
-                bytes += delta;
-                n_rows += 1;
-                metrics.add_state(delta as i64, &ctx.hub.state);
-                bucket.push(row.clone());
-                emitter.push(row)?;
-            }
-        }
-        tr.add(Phase::Compute, t_dedup);
-        emitter.flush()?;
-    }
-
-    if let Some(mut c) = collector.take() {
-        c.finish(ctx);
-    }
-    let view = DistinctStateView {
-        layout: &layout,
-        seen: &seen,
-        n_rows,
-        bytes,
-    };
-    monitor.on_input_complete(
-        ctx,
-        &CompletionEvent {
-            op,
-            input: 0,
-            rows_in,
-            view: &view,
-        },
-    );
-    metrics.add_state(-(bytes as i64), &ctx.hub.state);
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
 }

@@ -7,7 +7,7 @@
 //! repartition within the engine's tree-shaped channel topology; a `Merge`
 //! fans partition clones back into one stream, selecting across its inputs
 //! so no partition is stalled behind a slower sibling's backpressure
-//! window.
+//! window. The same union reads a shuffle reader's mesh inputs.
 //!
 //! The operator itself is arity-agnostic; `sip-parallel` arranges `Merge`
 //! nodes into a *tree* (fan-in from `PartitionConfig::merge_fanin` /
@@ -20,180 +20,135 @@
 //! pass per batch feeds both the partition check and (when a filter probes
 //! the partition column — the common AIP case) the tap stack.
 
-use super::{count_in, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::Emitter;
 use crate::context::{ExecContext, Msg};
-use crate::physical::PhysKind;
 use crate::taps::TapKernel;
-use crossbeam::channel::{Receiver, Select, Sender};
-use sip_common::trace::Phase;
-use sip_common::{exec_err, hash::partition_of, OpId, Result};
+use crossbeam::channel::Sender;
+use sip_common::trace::{OpTracer, Phase};
+use sip_common::{hash::partition_of, OpId, Result};
 use std::sync::Arc;
 
-/// Run an `Exchange` node: forward rows owned by this partition.
-pub(crate) fn run_exchange(
-    ctx: &Arc<ExecContext>,
+/// An `Exchange` node: forward rows owned by this partition.
+pub(crate) struct Exchange<'a> {
+    ctx: &'a Arc<ExecContext>,
     op: OpId,
-    input: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (col, partition, dop) = match &node.kind {
-        PhysKind::Exchange {
+    col: usize,
+    partition: u32,
+    dop: u32,
+    emitter: Emitter<'a>,
+    tr: OpTracer,
+    kernel: TapKernel,
+    kept: u64,
+}
+
+impl<'a> Exchange<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        op: OpId,
+        col: usize,
+        partition: u32,
+        dop: u32,
+        out: Sender<Msg>,
+    ) -> Self {
+        Exchange {
+            ctx,
+            op,
             col,
             partition,
             dop,
-        } => (*col, *partition, *dop),
-        other => return Err(exec_err!("run_exchange on {}", other.name())),
-    };
-    // The tap runs here, fused with the ownership kernel, so the emitter
-    // must not apply it a second time.
-    let mut emitter = Emitter::passthrough(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let mut kernel = TapKernel::new();
-    let mut kept = 0u64;
-    loop {
-        let t_recv = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t_recv);
-        // NULL keys hash like any value: every NULL row lands in the same
-        // single partition, so the union over all partitions stays
-        // multiset-correct even for rows that can never join. The columnar
-        // and row paths run the same fused ownership-check + tap over the
-        // shared digest pass; columnar batches stay columnar (survivors
-        // gathered per column, or the view forwarded untouched when every
-        // row survives).
-        match msg {
-            Ok(Msg::Batch(mut batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, batch.len());
-                kernel.begin(batch.len());
-                let t0 = tr.begin();
-                kernel.retain_by_digest(&batch.rows, &[col], |d| partition_of(d, dop) == partition);
-                tr.end(Phase::Compute, t0);
-                // The tap applies to the rows this Exchange would emit —
-                // its own partition's rows only — sharing the digest pass
-                // above whenever a filter probes the partition column.
-                let t0 = tr.begin();
-                kernel.probe_op(ctx, op, &batch.rows);
-                tr.end(Phase::TapProbe, t0);
-                // Count after the tap, matching ShuffleWrite's routed
-                // semantics (rows actually sent to the destination).
-                kept += kernel.sel().len() as u64;
-                let t_cmp = tr.begin();
-                kernel.compact(&mut batch.rows);
-                tr.add(Phase::Compute, t_cmp);
-                emitter.push_rows(batch.rows)?;
-                emitter.flush()?;
-            }
-            Ok(Msg::Cols(batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, batch.len());
-                kernel.begin(batch.len());
-                let t0 = tr.begin();
-                kernel.retain_by_digest_cols(&batch, &[col], |d| partition_of(d, dop) == partition);
-                tr.end(Phase::Compute, t0);
-                let t0 = tr.begin();
-                kernel.probe_op_cols(ctx, op, &batch);
-                tr.end(Phase::TapProbe, t0);
-                kept += kernel.sel().len() as u64;
-                let t_cmp = tr.begin();
-                let kept_batch = if kernel.sel().len() == batch.len() {
-                    batch
-                } else {
-                    batch.gather(kernel.sel().as_slice())
-                };
-                tr.add(Phase::Compute, t_cmp);
-                emitter.push_cols(kept_batch)?;
-            }
-            Ok(Msg::Eof) => break,
-            Err(_) => return Err(ctx.disconnect_err(op)),
-        }
-        if emitter.cancelled() {
-            // Downstream hung up: stop pulling so upstream winds down too.
-            break;
+            // The tap runs here, fused with the ownership kernel, so the
+            // emitter must not apply it a second time.
+            emitter: Emitter::passthrough(ctx, op, out).outside_compute(),
+            tr: ctx.tracer(op),
+            kernel: TapKernel::new(),
+            kept: 0,
         }
     }
-    // An Exchange routes by keeping its own partition's rows: publish them
-    // as this destination's routed count so the per-partition skew view
-    // covers broadcast-pruned replicas too.
-    let mut routed = vec![0u64; dop as usize];
-    routed[partition as usize] = kept;
-    tr.set_routed(&routed, 0);
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
 }
 
-/// Run a `Merge` node: union all inputs, ending when every input ends.
-/// Batches are forwarded whole — the emitter adopts each incoming
-/// allocation rather than re-buffering row by row.
-pub(crate) fn run_merge(
-    ctx: &Arc<ExecContext>,
-    op: OpId,
-    inputs: Vec<Receiver<Msg>>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    if !matches!(node.kind, PhysKind::Merge) {
-        return Err(exec_err!("run_merge on {}", node.kind.name()));
-    }
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    // Indices of inputs that have not yet reached EOF. The Select session
-    // is registered once per *live-set change* (EOF), not per batch —
-    // registration takes a lock per input.
-    let mut live: Vec<usize> = (0..inputs.len()).collect();
-    'rebuild: while !live.is_empty() {
-        let mut sel = Select::new();
-        for &i in &live {
-            sel.recv(&inputs[i]);
+impl PushOp for Exchange<'_> {
+    // NULL keys hash like any value: every NULL row lands in the same
+    // single partition, so the union over all partitions stays
+    // multiset-correct even for rows that can never join. The columnar and
+    // row paths run the same fused ownership-check + tap over the shared
+    // digest pass; columnar batches stay columnar (survivors gathered per
+    // column, or the view forwarded untouched when every row survives).
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let (ctx, op, col) = (self.ctx, self.op, self.col);
+        let (partition, dop) = (self.partition, self.dop);
+        let owned = |d: u64| partition_of(d, dop) == partition;
+        let (kernel, tr) = (&mut self.kernel, &mut self.tr);
+        kernel.begin(payload.len());
+        let t0 = tr.begin();
+        match &payload {
+            Payload::Batch(b) => kernel.retain_by_digest(&b.rows, &[col], owned),
+            Payload::Cols(c) => kernel.retain_by_digest_cols(c, &[col], owned),
         }
-        loop {
-            let t_recv = tr.begin();
-            let (slot, msg) = if live.len() == 1 {
-                (0, inputs[live[0]].recv())
-            } else {
-                let opn = sel.select();
-                let slot = opn.index();
-                (slot, opn.recv(&inputs[live[slot]]))
-            };
-            tr.end(Phase::ChannelRecv, t_recv);
-            match msg {
-                Ok(Msg::Batch(batch)) => {
-                    guard.on_batch()?;
-                    count_in(ctx, op, 0, batch.len());
-                    emitter.push_rows(batch.rows)?;
-                    emitter.flush()?;
-                    if emitter.cancelled() {
-                        // Downstream hung up: dropping the inputs here lets
-                        // every partition wind down instead of running the
-                        // failed query to completion.
-                        break 'rebuild;
-                    }
-                }
-                Ok(Msg::Cols(batch)) => {
-                    guard.on_batch()?;
-                    count_in(ctx, op, 0, batch.len());
-                    emitter.push_cols(batch)?;
-                    if emitter.cancelled() {
-                        break 'rebuild;
-                    }
-                }
-                Ok(Msg::Eof) => {
-                    live.remove(slot);
-                    continue 'rebuild;
-                }
-                // One partition's stream died without Eof: the whole
-                // union is unsalvageable. Erroring (instead of quietly
-                // removing the slot, as the old code did) is what keeps
-                // a panicked partition from producing a partial result.
-                Err(_) => return Err(ctx.disconnect_err(op)),
-            }
+        tr.end(Phase::Compute, t0);
+        // The tap applies to the rows this Exchange would emit — its own
+        // partition's rows only — sharing the digest pass above whenever a
+        // filter probes the partition column.
+        let t0 = tr.begin();
+        match &payload {
+            Payload::Batch(b) => kernel.probe_op(ctx, op, &b.rows),
+            Payload::Cols(c) => kernel.probe_op_cols(ctx, op, c),
+        };
+        tr.end(Phase::TapProbe, t0);
+        // Count after the tap, matching ShuffleWrite's routed semantics
+        // (rows actually sent to the destination).
+        self.kept += kernel.sel().len() as u64;
+        let t_cmp = tr.begin();
+        let kept = payload.select(kernel.sel());
+        tr.add(Phase::Compute, t_cmp);
+        self.emitter.forward(kept)
+    }
+
+    fn hung_up(&self) -> bool {
+        self.emitter.cancelled()
+    }
+
+    fn close(mut self) -> Result<()> {
+        // An Exchange routes by keeping its own partition's rows: publish
+        // them as this destination's routed count so the per-partition skew
+        // view covers broadcast-pruned replicas too.
+        let mut routed = vec![0u64; self.dop as usize];
+        routed[self.partition as usize] = self.kept;
+        self.tr.set_routed(&routed, 0);
+        self.emitter.finish()?;
+        self.tr.flush();
+        Ok(())
+    }
+}
+
+/// A `Merge` node, or a `ShuffleRead` over its mesh inputs: the union of
+/// all inputs, ending when every input ends. Batches are forwarded whole —
+/// the emitter adopts each incoming allocation rather than re-buffering
+/// row by row.
+pub(crate) struct Union<'a> {
+    emitter: Emitter<'a>,
+}
+
+impl<'a> Union<'a> {
+    pub(crate) fn new(ctx: &'a Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Self {
+        Union {
+            emitter: Emitter::new(ctx, op, out).outside_compute(),
         }
     }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+}
+
+impl PushOp for Union<'_> {
+    const UNION: bool = true;
+
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        self.emitter.forward(payload)
+    }
+
+    fn hung_up(&self) -> bool {
+        self.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        self.emitter.finish()
+    }
 }

@@ -15,34 +15,34 @@
 //! opposite table is dropped and arriving tuples on that side become
 //! probe-only.
 
-use super::{count_in, msg_rows, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::{Emitter, Stateful};
 use crate::context::{ExecContext, Msg};
-use crate::monitor::{CompletionEvent, ExecMonitor, StateView};
-use crate::physical::PhysKind;
-use crossbeam::channel::{Receiver, Sender};
+use crate::monitor::{ExecMonitor, StateView};
+use crossbeam::channel::Sender;
 use sip_common::trace::Phase;
-use sip_common::{exec_err, AttrId, DigestBuffer, FxHashMap, OpId, Result, Row};
+use sip_common::{AttrId, DigestBuffer, FxHashMap, OpId, Result, Row};
+use sip_expr::Expr;
 use std::sync::Arc;
 
 /// One side's buffered state.
-struct Side {
+struct Side<'a> {
+    /// The attributes of the buffered rows.
+    layout: &'a [AttrId],
     keys: Vec<usize>,
     table: FxHashMap<u64, Vec<Row>>,
     bytes: usize,
-    rows_in: u64,
-    done: bool,
     /// Set when the opposite side finished first and this table was dropped.
     dropped: bool,
 }
 
-impl Side {
-    fn new(keys: Vec<usize>) -> Self {
+impl<'a> Side<'a> {
+    fn new(layout: &'a [AttrId], keys: Vec<usize>) -> Self {
         Side {
+            layout,
             keys,
             table: FxHashMap::default(),
             bytes: 0,
-            rows_in: 0,
-            done: false,
             dropped: false,
         }
     }
@@ -57,12 +57,12 @@ impl Side {
     /// Matching buffered rows for a probe row (hash bucket + positional
     /// exact key re-check, so 64-bit collisions cannot produce wrong joins
     /// and no key vector is cloned).
-    fn probe<'a>(
-        &'a self,
+    fn probe<'p>(
+        &'p self,
         digest: u64,
-        probe: &'a Row,
-        probe_keys: &'a [usize],
-    ) -> impl Iterator<Item = &'a Row> + 'a {
+        probe: &'p Row,
+        probe_keys: &'p [usize],
+    ) -> impl Iterator<Item = &'p Row> + 'p {
         self.table
             .get(&digest)
             .into_iter()
@@ -83,26 +83,21 @@ impl Side {
     }
 }
 
-struct JoinStateView<'a> {
-    layout: &'a [AttrId],
-    side: &'a Side,
-}
-
-impl StateView for JoinStateView<'_> {
+impl StateView for Side<'_> {
     fn layout(&self) -> &[AttrId] {
         self.layout
     }
     fn len(&self) -> usize {
-        self.side.table.values().map(Vec::len).sum()
+        self.table.values().map(Vec::len).sum()
     }
     fn state_bytes(&self) -> usize {
-        self.side.bytes
+        self.bytes
     }
     fn complete(&self) -> bool {
-        !self.side.dropped
+        !self.dropped
     }
     fn for_each(&self, f: &mut dyn FnMut(&Row)) {
-        for rows in self.side.table.values() {
+        for rows in self.table.values() {
             for r in rows {
                 f(r);
             }
@@ -112,149 +107,103 @@ impl StateView for JoinStateView<'_> {
         // The table is bucketed by the side's join-key digest; the bucket
         // count is the distinct count exactly when the probe column IS the
         // (single) join key.
-        (self.side.keys.as_slice() == [pos]).then_some(self.side.table.len())
+        (self.keys.as_slice() == [pos]).then_some(self.table.len())
     }
 }
 
-/// Run a `HashJoin` node.
-pub(crate) fn run_hash_join(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
-    op: OpId,
-    left_rx: Receiver<Msg>,
-    right_rx: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (lk, rk, residual) = match &node.kind {
-        PhysKind::HashJoin {
-            left_keys,
-            right_keys,
-            residual,
-        } => (left_keys.clone(), right_keys.clone(), residual.clone()),
-        other => return Err(exec_err!("run_hash_join on {}", other.name())),
-    };
-    let left_layout = ctx.plan.node(node.inputs[0]).layout.clone();
-    let right_layout = ctx.plan.node(node.inputs[1]).layout.clone();
-    let mut sides = [Side::new(lk), Side::new(rk)];
-    let mut collectors = [ctx.take_collector(op, 0), ctx.take_collector(op, 1)];
-    let mut emitter = Emitter::new(ctx, op, out);
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let metrics = ctx.hub.op(op);
-    // One digest pass per arriving batch; the buffer is reused across
-    // batches from either side.
-    let mut digests = DigestBuffer::default();
+/// A `HashJoin` node.
+pub(crate) struct HashJoin<'a> {
+    s: Stateful<'a>,
+    residual: &'a Option<Expr>,
+    sides: [Side<'a>; 2],
+    /// One digest pass per arriving batch; the buffer is reused across
+    /// batches from either side.
+    digests: DigestBuffer,
+}
 
-    loop {
-        // Receive from whichever side has data; block only on live sides.
-        let t_recv = tr.begin();
-        let (idx, msg) = if sides[0].done {
-            (1, right_rx.recv())
-        } else if sides[1].done {
-            (0, left_rx.recv())
-        } else {
-            crossbeam::channel::select! {
-                recv(left_rx) -> m => (0, m),
-                recv(right_rx) -> m => (1, m),
-            }
-        };
-        tr.end(Phase::ChannelRecv, t_recv);
+impl<'a> HashJoin<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        keys: [&[usize]; 2],
+        residual: &'a Option<Expr>,
+        out: Sender<Msg>,
+    ) -> Self {
+        let inputs = &ctx.plan.node(op).inputs;
+        HashJoin {
+            s: Stateful::new(ctx, monitor, op, Emitter::new(ctx, op, out)),
+            residual,
+            sides: [0, 1].map(|i| Side::new(&ctx.plan.node(inputs[i]).layout, keys[i].to_vec())),
+            digests: DigestBuffer::default(),
+        }
+    }
+}
+
+impl PushOp for HashJoin<'_> {
+    fn push(&mut self, idx: usize, payload: Payload) -> Result<()> {
         // Join state is row-shaped (buckets of buffered rows); columnar
         // input converts to rows at this seam.
-        match msg_rows(ctx, op, msg)? {
-            Some(batch) => {
-                guard.on_batch()?;
-                count_in(ctx, op, idx, batch.len());
-                sides[idx].rows_in += batch.len() as u64;
-                // Both sides hash the same key-value sequence, so this
-                // side's digest doubles as the probe digest into the
-                // opposite table — and as the collector's build digest.
-                let t0 = tr.begin();
-                digests.compute(&batch.rows, &sides[idx].keys);
-                tr.end(Phase::Compute, t0);
-                if let Some(c) = collectors[idx].as_mut() {
-                    let t0 = tr.begin();
-                    c.admit_batch(&batch.rows, &sides[idx].keys, &digests);
-                    tr.end(Phase::AdmitBuild, t0);
-                }
-                let t_probe = tr.begin();
-                let other = 1 - idx;
-                for (i, row) in batch.rows.into_iter().enumerate() {
-                    if digests.is_null_key(i) {
-                        continue; // NULL keys never join
-                    }
-                    let digest = digests.digests()[i];
-                    let probe_keys: &[usize] = &sides[idx].keys;
-                    for m in sides[other].probe(digest, &row, probe_keys) {
-                        let joined = if idx == 0 {
-                            row.concat(m)
-                        } else {
-                            m.concat(&row)
-                        };
-                        match &residual {
-                            Some(pred) if !pred.eval_bool(&joined)? => {}
-                            _ => emitter.push(joined)?,
-                        }
-                    }
-                    // Buffer for future arrivals from the other side
-                    // (unless short-circuited).
-                    if !sides[idx].dropped {
-                        let delta = sides[idx].insert(digest, row);
-                        metrics.add_state(delta, &ctx.hub.state);
-                    }
-                }
-                // Same logical span as the digest pass (one Compute span
-                // per batch; auto-flush time inside the loop is nested).
-                tr.add(Phase::Compute, t_probe);
-                emitter.flush()?;
+        let batch = payload.into_rows();
+        let (sides, s) = (&mut self.sides, &mut self.s);
+        // Both sides hash the same key-value sequence, so this side's
+        // digest doubles as the probe digest into the opposite table — and
+        // as the collector's build digest.
+        let keys = &sides[idx].keys;
+        s.digest(idx, &mut self.digests, &batch.rows, keys);
+        let t_probe = s.tr.begin();
+        let other = 1 - idx;
+        for (i, row) in batch.rows.into_iter().enumerate() {
+            if self.digests.is_null_key(i) {
+                continue; // NULL keys never join
             }
-            None => {
-                sides[idx].done = true;
-                if let Some(mut c) = collectors[idx].take() {
-                    c.finish(ctx);
-                }
-                // Notify the controller while this side's state is intact.
-                let layout = if idx == 0 {
-                    &left_layout
+            let digest = self.digests.digests()[i];
+            let probe_keys: &[usize] = &sides[idx].keys;
+            for m in sides[other].probe(digest, &row, probe_keys) {
+                let joined = if idx == 0 {
+                    row.concat(m)
                 } else {
-                    &right_layout
+                    m.concat(&row)
                 };
-                let view = JoinStateView {
-                    layout,
-                    side: &sides[idx],
-                };
-                monitor.on_input_complete(
-                    ctx,
-                    &CompletionEvent {
-                        op,
-                        input: idx,
-                        rows_in: sides[idx].rows_in,
-                        view: &view,
-                    },
-                );
-                // Short-circuit: the opposite table will never be probed
-                // again; release it and stop building it.
-                let other = 1 - idx;
-                if !sides[other].dropped {
-                    let delta = sides[other].release();
-                    sides[other].dropped = true;
-                    metrics.add_state(delta, &ctx.hub.state);
-                }
-                if sides[0].done && sides[1].done {
-                    break;
+                match self.residual {
+                    Some(pred) if !pred.eval_bool(&joined)? => {}
+                    _ => s.emitter.push(joined)?,
                 }
             }
+            // Buffer for future arrivals from the other side (unless
+            // short-circuited).
+            if !sides[idx].dropped {
+                s.add_state(sides[idx].insert(digest, row));
+            }
         }
+        // Same logical span as the digest pass (one Compute span per batch;
+        // auto-flush time inside the loop is nested).
+        s.tr.add(Phase::Compute, t_probe);
+        s.emitter.flush()
     }
-    // Release any remaining state before EOF so peak accounting closes out.
-    for side in sides.iter_mut() {
-        let delta = side.release();
-        if delta != 0 {
-            metrics.add_state(delta, &ctx.hub.state);
+
+    fn input_done(&mut self, idx: usize) -> Result<()> {
+        // Notify the controller while this side's state is intact.
+        self.s.finish_collector(idx);
+        self.s.report(idx, &self.sides[idx]);
+        // Short-circuit: the opposite table will never be probed again;
+        // release it and stop building it.
+        let other = &mut self.sides[1 - idx];
+        if !other.dropped {
+            self.s.add_state(other.release());
+            other.dropped = true;
         }
+        Ok(())
     }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+
+    fn hung_up(&self) -> bool {
+        self.s.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        // Release any remaining state before EOF so peak accounting closes
+        // out.
+        let held = self.sides.iter().map(|side| side.bytes).sum();
+        self.s.close(held)
+    }
 }

@@ -2,6 +2,16 @@
 //! through bounded channels, giving the nondeterministic, backpressured
 //! scheduling that push-style engines rely on (§I).
 //!
+//! Scans are sources: each runs its own loop over its table. Every other
+//! operator is a consumer written as push callbacks ([`driver::PushOp`]):
+//! `push` for each arriving batch, `input_done` for each input's `Eof`,
+//! and `close` at the end, emitting through an [`Emitter`]. One driver
+//! ([`driver::drive`]) owns the receive side for all of them — the
+//! live-input select, receive tracing, the per-batch fault and
+//! cancellation check, the input counters, the Eof-vs-disconnect rule,
+//! and stopping once the downstream has hung up — so operators hold only
+//! their state and kernels.
+//!
 //! Operator *interiors* are batch-at-a-time: each incoming batch gets one
 //! key-digest pass per key-column set (shared between the join probe, the
 //! injected-filter tap stack, and shuffle routing via
@@ -10,6 +20,7 @@
 //! semantics live in [`crate::oracle`].
 
 pub(crate) mod aggregate;
+pub(crate) mod driver;
 pub(crate) mod exchange;
 pub(crate) mod hash_join;
 pub(crate) mod scan;
@@ -19,11 +30,14 @@ pub(crate) mod stateless;
 
 use crate::context::{ExecContext, Msg};
 use crate::fault::{FaultKind, FaultState};
+use crate::metrics::OpMetrics;
+use crate::monitor::{CompletionEvent, ExecMonitor, RowCollector, StateView};
 use crate::taps::TapKernel;
 use crossbeam::channel::Sender;
+use driver::Payload;
 use sip_common::error::ExecFailure;
 use sip_common::trace::{OpTracer, Phase};
-use sip_common::{Batch, ColumnarBatch, OpId, Result, Row, Value};
+use sip_common::{Batch, ColumnarBatch, DigestBuffer, OpId, Result, Row, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -151,6 +165,18 @@ impl<'a> Emitter<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Send a whole incoming batch on: a row batch is adopted as the
+    /// buffer and flushed, a columnar batch goes through [`Emitter::push_cols`].
+    pub(crate) fn forward(&mut self, payload: Payload) -> Result<()> {
+        match payload {
+            Payload::Batch(b) => {
+                self.push_rows(b.rows)?;
+                self.flush()
+            }
+            Payload::Cols(c) => self.push_cols(c),
+        }
     }
 
     /// Queue the selected rows of a batch (gather by selection vector; each
@@ -304,6 +330,93 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// What every state-building operator (hash join, semijoin, aggregate,
+/// distinct) holds besides its state: where it emits, where it traces,
+/// where it charges state bytes, its inputs' AIP collectors, and whom it
+/// tells that an input's state is complete.
+pub(crate) struct Stateful<'a> {
+    pub(crate) ctx: &'a Arc<ExecContext>,
+    monitor: &'a dyn ExecMonitor,
+    pub(crate) op: OpId,
+    metrics: &'a OpMetrics,
+    collectors: [Option<Box<dyn RowCollector>>; 2],
+    pub(crate) emitter: Emitter<'a>,
+    pub(crate) tr: OpTracer,
+}
+
+impl<'a> Stateful<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        emitter: Emitter<'a>,
+    ) -> Self {
+        Stateful {
+            ctx,
+            monitor,
+            op,
+            metrics: ctx.hub.op(op),
+            collectors: [ctx.take_collector(op, 0), ctx.take_collector(op, 1)],
+            emitter,
+            tr: ctx.tracer(op),
+        }
+    }
+
+    /// Charge `delta` bytes of operator state (negative releases).
+    #[inline]
+    pub(crate) fn add_state(&self, delta: i64) {
+        self.metrics.add_state(delta, &self.ctx.hub.state);
+    }
+
+    /// One hash pass over `keys` for a whole batch from `input`, shared
+    /// with that input's collector (the AIP working-copy build).
+    pub(crate) fn digest(
+        &mut self,
+        input: usize,
+        digests: &mut DigestBuffer,
+        rows: &[Row],
+        keys: &[usize],
+    ) {
+        let t0 = self.tr.begin();
+        digests.compute(rows, keys);
+        self.tr.end(Phase::Compute, t0);
+        if let Some(c) = self.collectors[input].as_mut() {
+            let t0 = self.tr.begin();
+            c.admit_batch(rows, keys, digests);
+            self.tr.end(Phase::AdmitBuild, t0);
+        }
+    }
+
+    /// `input` reached its `Eof`: finish its collector.
+    pub(crate) fn finish_collector(&mut self, input: usize) {
+        if let Some(mut c) = self.collectors[input].take() {
+            c.finish(self.ctx);
+        }
+    }
+
+    /// Hand the controller a view of `input`'s completed state.
+    pub(crate) fn report(&self, input: usize, view: &dyn StateView) {
+        self.monitor.on_input_complete(
+            self.ctx,
+            &CompletionEvent {
+                op: self.op,
+                input,
+                rows_in: self.metrics.rows_in[input].load(Ordering::Relaxed),
+                view,
+            },
+        );
+    }
+
+    /// Release the `held` bytes of state still charged, then flush and
+    /// send `Eof`.
+    pub(crate) fn close(self, held: usize) -> Result<()> {
+        self.add_state(-(held as i64));
+        self.emitter.finish()?;
+        self.tr.flush();
+        Ok(())
+    }
+}
+
 /// Extract `(digest, key values)` for the key columns, or `None` when any
 /// key is NULL (SQL: NULL keys never join). Row-at-a-time — the oracle and
 /// key-materializing paths use it; batch kernels use
@@ -316,25 +429,6 @@ pub(crate) fn key_of(row: &Row, positions: &[usize]) -> Option<(u64, Vec<Value>)
         }
     }
     Some((row.key_hash(positions), row.key_values(positions)))
-}
-
-/// Normalize a received message to a row batch at the row seams (stateful
-/// operators, the root sink): columnar payloads materialize
-/// rows on receipt, a clean `Eof` ends the stream (`Ok(None)`), and a
-/// disconnect without `Eof` — the upstream operator died — is a hard
-/// attributed error, never a quiet end-of-stream.
-#[inline]
-pub(crate) fn msg_rows(
-    ctx: &ExecContext,
-    op: OpId,
-    msg: std::result::Result<Msg, crossbeam::channel::RecvError>,
-) -> Result<Option<Batch>> {
-    match msg {
-        Ok(Msg::Batch(b)) => Ok(Some(b)),
-        Ok(Msg::Cols(c)) => Ok(Some(c.to_batch())),
-        Ok(Msg::Eof) => Ok(None),
-        Err(_) => Err(ctx.disconnect_err(op)),
-    }
 }
 
 /// Per-operator lifecycle guard: advances the injected-fault state and
@@ -406,14 +500,6 @@ impl<'a> OpGuard<'a> {
     }
 }
 
-/// Record arrival metrics for an input (one call per batch).
-#[inline]
-pub(crate) fn count_in(ctx: &ExecContext, op: OpId, input: usize, n: usize) {
-    let m = ctx.hub.op(op);
-    m.rows_in[input].fetch_add(n as u64, Ordering::Relaxed);
-    m.batches_in.fetch_add(1, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,7 +511,7 @@ mod tests {
     use sip_filter::{AipSetBuilder, AipSetKind};
     use sip_plan::QueryBuilder;
 
-    fn scan_ctx(batch_size: usize) -> Arc<ExecContext> {
+    pub(crate) fn scan_ctx(batch_size: usize) -> Arc<ExecContext> {
         let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
         let rows: Vec<Row> = (0..8).map(|i| Row::new(vec![Value::Int(i)])).collect();
         let mut c = Catalog::new();

@@ -11,15 +11,16 @@
 //! membership checks compare key values positionally against the stored
 //! build keys, so the probe path never materializes a key vector.
 
-use super::{count_in, msg_rows, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::{Emitter, Stateful};
 use crate::context::{ExecContext, Msg};
-use crate::monitor::{CompletionEvent, ExecMonitor, StateView};
-use crate::physical::PhysKind;
-use crossbeam::channel::{Receiver, Sender};
+use crate::monitor::{ExecMonitor, StateView};
+use crossbeam::channel::Sender;
 use sip_common::trace::Phase;
-use sip_common::{exec_err, AttrId, DigestBuffer, FxHashMap, OpId, Result, Row, Value};
+use sip_common::{AttrId, DigestBuffer, FxHashMap, OpId, Result, Row, Value};
 use std::sync::Arc;
 
+#[derive(Default)]
 struct BuildSet {
     /// digest → distinct key values (exact re-check on probe).
     keys: FxHashMap<u64, Vec<Vec<Value>>>,
@@ -57,218 +58,168 @@ impl BuildSet {
     }
 }
 
-struct BuildStateView<'a> {
-    layout: &'a [AttrId],
-    set: &'a BuildSet,
-    rows: Vec<Row>,
+/// A `SemiJoin` node: input 0 probes, input 1 builds.
+pub(crate) struct SemiJoin<'a> {
+    s: Stateful<'a>,
+    probe_keys: &'a [usize],
+    build_keys: &'a [usize],
+    /// The attributes of the build keys: the rows the completed build set
+    /// yields as a state view.
+    build_key_layout: Vec<AttrId>,
+    build: BuildSet,
+    /// Unmatched probe rows waiting for the build side: digest → rows.
+    pending: FxHashMap<u64, Vec<Row>>,
+    pending_bytes: usize,
+    build_done: bool,
+    /// Reused per-batch digest scratch, one per input (key column sets
+    /// differ).
+    build_digests: DigestBuffer,
+    probe_digests: DigestBuffer,
 }
 
-impl StateView for BuildStateView<'_> {
+impl<'a> SemiJoin<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        probe_keys: &'a [usize],
+        build_keys: &'a [usize],
+        out: Sender<Msg>,
+    ) -> Self {
+        let build_child = ctx.plan.node(op).inputs[1];
+        SemiJoin {
+            s: Stateful::new(ctx, monitor, op, Emitter::new(ctx, op, out)),
+            probe_keys,
+            build_keys,
+            build_key_layout: build_keys
+                .iter()
+                .map(|&p| ctx.plan.node(build_child).layout[p])
+                .collect(),
+            build: BuildSet::default(),
+            pending: FxHashMap::default(),
+            pending_bytes: 0,
+            build_done: false,
+            build_digests: DigestBuffer::default(),
+            probe_digests: DigestBuffer::default(),
+        }
+    }
+}
+
+impl PushOp for SemiJoin<'_> {
+    fn push(&mut self, input: usize, payload: Payload) -> Result<()> {
+        // Both the build set and the pending buffer are row-shaped;
+        // columnar input converts to rows at this seam.
+        let batch = payload.into_rows();
+        let s = &mut self.s;
+        let (probe_keys, build_keys) = (self.probe_keys, self.build_keys);
+        if input == 1 {
+            let digests = &mut self.build_digests;
+            s.digest(1, digests, &batch.rows, build_keys);
+            let t_ins = s.tr.begin();
+            for (i, row) in batch.rows.iter().enumerate() {
+                if digests.is_null_key(i) {
+                    continue;
+                }
+                let digest = digests.digests()[i];
+                let delta = self.build.insert(digest, row.key_values(build_keys));
+                if delta > 0 {
+                    s.add_state(delta);
+                    // Release any pending probe rows now matched.
+                    if let Some(rows) = self.pending.remove(&digest) {
+                        for r in rows {
+                            if self.build.contains_row(digest, &r, probe_keys) {
+                                self.pending_bytes -= r.size_bytes() + 16;
+                                s.add_state(-(r.size_bytes() as i64 + 16));
+                                s.emitter.push(r)?;
+                            } else {
+                                // Same digest, different key: keep waiting.
+                                self.pending.entry(digest).or_default().push(r);
+                            }
+                        }
+                    }
+                }
+            }
+            s.tr.add(Phase::Compute, t_ins);
+        } else {
+            let digests = &mut self.probe_digests;
+            s.digest(0, digests, &batch.rows, probe_keys);
+            let t_probe = s.tr.begin();
+            for (i, row) in batch.rows.into_iter().enumerate() {
+                if digests.is_null_key(i) {
+                    continue; // NULL keys never match
+                }
+                let digest = digests.digests()[i];
+                if self.build.contains_row(digest, &row, probe_keys) {
+                    s.emitter.push(row)?;
+                } else if !self.build_done {
+                    let delta = row.size_bytes() + 16;
+                    self.pending_bytes += delta;
+                    s.add_state(delta as i64);
+                    self.pending.entry(digest).or_default().push(row);
+                }
+                // build done and no match: drop.
+            }
+            s.tr.add(Phase::Compute, t_probe);
+        }
+        s.emitter.flush()
+    }
+
+    fn input_done(&mut self, input: usize) -> Result<()> {
+        if input == 0 {
+            self.s.finish_collector(0);
+            return Ok(());
+        }
+        self.build_done = true;
+        self.s.finish_collector(1);
+        // Surface the completed build set (it is itself an AIP candidate: a
+        // completed, keyed subexpression).
+        self.s.report(1, self);
+        // Resolve pending: emit late matches, discard the rest.
+        let drained = std::mem::take(&mut self.pending);
+        for (digest, rows) in drained {
+            for r in rows {
+                self.s.add_state(-(r.size_bytes() as i64 + 16));
+                if self.build.contains_row(digest, &r, self.probe_keys) {
+                    self.s.emitter.push(r)?;
+                }
+            }
+        }
+        self.pending_bytes = 0;
+        self.s.emitter.flush()
+    }
+
+    fn hung_up(&self) -> bool {
+        self.s.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        // Release the build set, and any probe rows still pending when the
+        // downstream hung up before the build side finished.
+        self.s.close(self.build.bytes + self.pending_bytes)
+    }
+}
+
+/// The completed build set, as the controller sees it: one row per
+/// distinct build key.
+impl StateView for SemiJoin<'_> {
     fn layout(&self) -> &[AttrId] {
-        self.layout
+        &self.build_key_layout
     }
     fn len(&self) -> usize {
-        self.set.n_keys
+        self.build.n_keys
     }
     fn state_bytes(&self) -> usize {
-        self.set.bytes
+        self.build.bytes
     }
     fn complete(&self) -> bool {
         true
     }
     fn for_each(&self, f: &mut dyn FnMut(&Row)) {
-        for r in &self.rows {
-            f(r);
+        for k in self.build.keys.values().flatten() {
+            f(&Row::new(k.clone()));
         }
     }
     fn distinct_hint(&self, pos: usize) -> Option<usize> {
-        (self.layout.len() == 1 && pos == 0).then_some(self.set.n_keys)
+        (self.build_key_layout.len() == 1 && pos == 0).then_some(self.build.n_keys)
     }
-}
-
-/// Run a `SemiJoin` node.
-pub(crate) fn run_semi_join(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
-    op: OpId,
-    probe_rx: Receiver<Msg>,
-    build_rx: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (probe_keys, build_keys) = match &node.kind {
-        PhysKind::SemiJoin {
-            probe_keys,
-            build_keys,
-        } => (probe_keys.clone(), build_keys.clone()),
-        other => return Err(exec_err!("run_semi_join on {}", other.name())),
-    };
-    let build_child = node.inputs[1];
-    let build_key_layout: Vec<AttrId> = build_keys
-        .iter()
-        .map(|&p| ctx.plan.node(build_child).layout[p])
-        .collect();
-    let mut build = BuildSet {
-        keys: FxHashMap::default(),
-        bytes: 0,
-        n_keys: 0,
-    };
-    // Unmatched probe rows waiting for the build side: digest → rows.
-    let mut pending: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-    let mut pending_bytes = 0usize;
-    let mut probe_done = false;
-    let mut build_done = false;
-    let mut build_rows_in = 0u64;
-    let mut collector_build = ctx.take_collector(op, 1);
-    let mut collector_probe = ctx.take_collector(op, 0);
-    let metrics = ctx.hub.op(op);
-    let mut emitter = Emitter::new(ctx, op, out);
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    // Reused per-batch digest scratch, one per input (key column sets
-    // differ).
-    let mut build_digests = DigestBuffer::default();
-    let mut probe_digests = DigestBuffer::default();
-
-    while !(probe_done && build_done) {
-        let t_recv = tr.begin();
-        let (is_build, msg) = if probe_done {
-            (true, build_rx.recv())
-        } else if build_done {
-            (false, probe_rx.recv())
-        } else {
-            crossbeam::channel::select! {
-                recv(probe_rx) -> m => (false, m),
-                recv(build_rx) -> m => (true, m),
-            }
-        };
-        tr.end(Phase::ChannelRecv, t_recv);
-        // Both the build set and the pending buffer are row-shaped;
-        // columnar input converts to rows at this seam.
-        match (is_build, msg_rows(ctx, op, msg)?) {
-            (true, Some(batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 1, batch.len());
-                build_rows_in += batch.len() as u64;
-                let t0 = tr.begin();
-                build_digests.compute(&batch.rows, &build_keys);
-                tr.end(Phase::Compute, t0);
-                if let Some(c) = collector_build.as_mut() {
-                    let t0 = tr.begin();
-                    c.admit_batch(&batch.rows, &build_keys, &build_digests);
-                    tr.end(Phase::AdmitBuild, t0);
-                }
-                let t_ins = tr.begin();
-                for (i, row) in batch.rows.iter().enumerate() {
-                    if build_digests.is_null_key(i) {
-                        continue;
-                    }
-                    let digest = build_digests.digests()[i];
-                    let delta = build.insert(digest, row.key_values(&build_keys));
-                    if delta > 0 {
-                        metrics.add_state(delta, &ctx.hub.state);
-                        // Release any pending probe rows now matched.
-                        if let Some(rows) = pending.remove(&digest) {
-                            for r in rows {
-                                if build.contains_row(digest, &r, &probe_keys) {
-                                    pending_bytes -= r.size_bytes() + 16;
-                                    metrics
-                                        .add_state(-(r.size_bytes() as i64 + 16), &ctx.hub.state);
-                                    emitter.push(r)?;
-                                } else {
-                                    // Same digest, different key: keep waiting.
-                                    pending.entry(digest).or_default().push(r);
-                                }
-                            }
-                        }
-                    }
-                }
-                tr.add(Phase::Compute, t_ins);
-                emitter.flush()?;
-            }
-            (false, Some(batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, batch.len());
-                let t0 = tr.begin();
-                probe_digests.compute(&batch.rows, &probe_keys);
-                tr.end(Phase::Compute, t0);
-                if let Some(c) = collector_probe.as_mut() {
-                    let t0 = tr.begin();
-                    c.admit_batch(&batch.rows, &probe_keys, &probe_digests);
-                    tr.end(Phase::AdmitBuild, t0);
-                }
-                let t_probe = tr.begin();
-                for (i, row) in batch.rows.into_iter().enumerate() {
-                    if probe_digests.is_null_key(i) {
-                        continue; // NULL keys never match
-                    }
-                    let digest = probe_digests.digests()[i];
-                    if build.contains_row(digest, &row, &probe_keys) {
-                        emitter.push(row)?;
-                    } else if !build_done {
-                        let delta = row.size_bytes() + 16;
-                        pending_bytes += delta;
-                        metrics.add_state(delta as i64, &ctx.hub.state);
-                        pending.entry(digest).or_default().push(row);
-                    }
-                    // build done and no match: drop.
-                }
-                tr.add(Phase::Compute, t_probe);
-                emitter.flush()?;
-            }
-            (true, None) => {
-                build_done = true;
-                if let Some(mut c) = collector_build.take() {
-                    c.finish(ctx);
-                }
-                // Surface the completed build set (it is itself an AIP
-                // candidate: a completed, keyed subexpression).
-                let rows: Vec<Row> = build
-                    .keys
-                    .values()
-                    .flatten()
-                    .map(|k| Row::new(k.clone()))
-                    .collect();
-                let view = BuildStateView {
-                    layout: &build_key_layout,
-                    set: &build,
-                    rows,
-                };
-                monitor.on_input_complete(
-                    ctx,
-                    &CompletionEvent {
-                        op,
-                        input: 1,
-                        rows_in: build_rows_in,
-                        view: &view,
-                    },
-                );
-                // Resolve pending: emit late matches, discard the rest.
-                let drained = std::mem::take(&mut pending);
-                for (digest, rows) in drained {
-                    for r in rows {
-                        let delta = r.size_bytes() as i64 + 16;
-                        metrics.add_state(-delta, &ctx.hub.state);
-                        if build.contains_row(digest, &r, &probe_keys) {
-                            emitter.push(r)?;
-                        }
-                    }
-                }
-                pending_bytes = 0;
-                emitter.flush()?;
-            }
-            (false, None) => {
-                probe_done = true;
-                if let Some(mut c) = collector_probe.take() {
-                    c.finish(ctx);
-                }
-            }
-        }
-    }
-    // Release the build set.
-    metrics.add_state(-(build.bytes as i64), &ctx.hub.state);
-    debug_assert_eq!(pending_bytes, 0);
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
 }

@@ -19,13 +19,14 @@
 //! acyclic at any channel capacity, including the capacity-1 stress
 //! configuration the property tests run.
 
-use super::{count_in, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::Emitter;
 use crate::context::{ExecContext, Msg};
 use crate::monitor::ExecMonitor;
-use crate::physical::{PhysKind, SaltRole, SaltSpec};
+use crate::physical::{SaltRole, SaltSpec};
 use crate::taps::TapKernel;
-use crossbeam::channel::{Receiver, Select, Sender};
-use sip_common::trace::Phase;
+use crossbeam::channel::Sender;
+use sip_common::trace::{OpTracer, Phase};
 use sip_common::{exec_err, hash::partition_of, OpId, Result, SelVec, SpaceSaving};
 use std::sync::Arc;
 
@@ -88,266 +89,187 @@ fn deal_routes(
     }
 }
 
-/// Run a `ShuffleWrite` node: route each input row to the mesh channel of
-/// the consumer partition owning its key hash. Salted (hot) keys route
-/// outside the hash invariant — round-robin across all readers for a
-/// `Scatter` writer, to every reader for a `Broadcast` writer — which is
-/// what keeps a Zipf-hot key from saturating one reader (see
+/// A `ShuffleWrite` node: route each input row to the mesh channel of the
+/// consumer partition owning its key hash. Salted (hot) keys route outside
+/// the hash invariant — round-robin across all readers for a `Scatter`
+/// writer, to every reader for a `Broadcast` writer — which is what keeps a
+/// Zipf-hot key from saturating one reader (see
 /// [`crate::physical::SaltSpec`]). The tree output stays empty (EOF only) —
 /// it exists so the paired reader anchors the writer in the plan tree.
-pub(crate) fn run_shuffle_write(
-    ctx: &Arc<ExecContext>,
-    monitor: &Arc<dyn ExecMonitor>,
+/// A `ShuffleRead` is a [`super::exchange::Union`] over its mesh inputs and
+/// that tree input.
+pub(crate) struct ShuffleWrite<'a> {
+    ctx: &'a Arc<ExecContext>,
+    monitor: &'a dyn ExecMonitor,
     op: OpId,
-    input: Receiver<Msg>,
+    mesh: u32,
+    col: usize,
+    dop: u32,
+    salt: &'a Option<SaltSpec>,
+    /// The tree output, which carries only the final `Eof`.
     out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (mesh, col, writer, dop, salt) = match &node.kind {
-        PhysKind::ShuffleWrite {
-            mesh,
-            col,
-            writer,
-            dop,
-            salt,
-        } => (*mesh, *col, *writer, *dop, salt.clone()),
-        other => return Err(exec_err!("run_shuffle_write on {}", other.name())),
-    };
-    let txs = ctx
-        .take_shuffle_senders(mesh, writer)
-        .ok_or_else(|| exec_err!("mesh {mesh} writer {writer} has no senders"))?;
-    // One emitter per destination: each counts rows_out and batches
-    // independently, so a full window toward one reader never blocks
-    // traffic toward the others until this thread actually has a row for
-    // the full one. The tap runs *here*, fused with the routing kernel
-    // (every row reaches exactly one destination, so probing before
-    // routing applies each filter to each row exactly once), hence the
-    // passthrough emitters.
-    let mut emitters: Vec<Emitter<'_>> = txs
-        .into_iter()
-        .map(|tx| Emitter::passthrough(ctx, op, tx))
-        .collect();
-    let mut kernel = TapKernel::new();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let mut route: Vec<SelVec> = (0..dop as usize).map(|_| SelVec::default()).collect();
-    let mut owners: Vec<u32> = Vec::new();
-    let mut digs: Vec<u64> = Vec::new();
-    // Round-robin cursor for scattered (salted) rows; writers start at
-    // their own index so a mesh's writers do not all hammer reader 0
-    // first.
-    let mut rr = writer % dop;
-    // Online skew observability: every routing digest feeds a space-saving
-    // sketch (sharing the digest pass the router computed anyway), so the
-    // metrics report which keys actually ran hot — validating, or
-    // contradicting, the plan-time salt decision.
-    let mut sketch = SpaceSaving::new(SKETCH_CAPACITY);
-    let mut seen = 0u64;
-    let mut routed = vec![0u64; dop as usize];
-    loop {
-        let t_recv = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t_recv);
-        // Route the surviving selection. The routing digests come from the
-        // same cache as the tap's, so a filter over the shuffle key costs
-        // no extra hash pass. NULL routing keys hash like any value: all
-        // NULL rows of a stream land in one consistent partition, keeping
-        // the union across readers multiset-correct even for rows that can
-        // never join. Columnar batches are dealt as per-destination column
-        // gathers and stay columnar on the mesh.
-        match msg {
-            Ok(Msg::Batch(batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, batch.len());
-                kernel.begin(batch.len());
-                let t0 = tr.begin();
-                kernel.probe_op(ctx, op, &batch.rows);
-                tr.end(Phase::TapProbe, t0);
-                let t0 = tr.begin();
-                {
-                    let d = kernel.digests(&batch.rows, &[col]).digests();
-                    owners.clear();
-                    owners.extend(d.iter().map(|&d| partition_of(d, dop)));
-                    digs.clear();
-                    digs.extend_from_slice(d);
-                }
-                deal_routes(
-                    &salt,
-                    dop,
-                    &mut rr,
-                    &mut seen,
-                    &mut sketch,
-                    &mut route,
-                    &owners,
-                    &digs,
-                    kernel.sel(),
-                );
-                // One Compute span per batch covering digest + deal; the
-                // emitters' auto-flush sends inside extend_sel are recorded
-                // as nested time.
-                tr.end(Phase::Compute, t0);
-                let t_deal = tr.begin();
-                for (owner, s) in route.iter().enumerate() {
-                    routed[owner] += s.len() as u64;
-                    emitters[owner].extend_sel(&batch.rows, s.as_slice())?;
-                }
-                tr.add(Phase::Compute, t_deal);
-            }
-            Ok(Msg::Cols(batch)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, batch.len());
-                kernel.begin(batch.len());
-                let t0 = tr.begin();
-                kernel.probe_op_cols(ctx, op, &batch);
-                tr.end(Phase::TapProbe, t0);
-                let t0 = tr.begin();
-                {
-                    let d = kernel.digests_cols(&batch, &[col]).digests();
-                    owners.clear();
-                    owners.extend(d.iter().map(|&d| partition_of(d, dop)));
-                    digs.clear();
-                    digs.extend_from_slice(d);
-                }
-                deal_routes(
-                    &salt,
-                    dop,
-                    &mut rr,
-                    &mut seen,
-                    &mut sketch,
-                    &mut route,
-                    &owners,
-                    &digs,
-                    kernel.sel(),
-                );
-                tr.end(Phase::Compute, t0);
-                let t_deal = tr.begin();
-                for (owner, s) in route.iter().enumerate() {
-                    if s.is_empty() {
-                        continue;
-                    }
-                    routed[owner] += s.len() as u64;
-                    emitters[owner].push_cols(batch.gather(s.as_slice()))?;
-                }
-                tr.add(Phase::Compute, t_deal);
-            }
-            Ok(Msg::Eof) => break,
-            Err(_) => return Err(ctx.disconnect_err(op)),
-        }
-        if emitters.iter().all(|e| e.cancelled()) {
-            // Every reader hung up (query failed/cancelled downstream):
-            // stop pulling so the producer side winds down too.
-            break;
-        }
-    }
-    for e in emitters {
-        e.finish()?;
-    }
-    // Publish routing observability once: per-destination row counts, the
-    // keys whose observed share of this writer's stream exceeded one
-    // reader's fair share, and the sketch itself (so a stage-boundary
-    // drain can merge the per-writer frequency summaries into one mesh-
-    // wide histogram).
-    let hot_threshold = (sketch.total() / dop.max(1) as u64).max(1);
-    let observed_hot = sketch.heavy_hitters(hot_threshold).len() as u64;
-    tr.set_routed(&routed, observed_hot);
-    tr.set_sketch(sketch);
-    tr.flush();
-    // Tree EOF first: the paired reader (and the rest of the pipeline) can
-    // keep draining while the last writer builds the boundary snapshot.
-    let _ = out.send(Msg::Eof);
-    if ctx.mesh_writer_finished(mesh) {
-        // This thread's flush above is already in the hub, so the drain
-        // sees every writer of the mesh — a complete stage picture.
-        let fb = ctx.stage_feedback(mesh);
-        monitor.on_stage_boundary(ctx, &fb);
-    }
-    Ok(())
+    /// One emitter per destination: each counts rows_out and batches
+    /// independently, so a full window toward one reader never blocks
+    /// traffic toward the others until this thread actually has a row for
+    /// the full one. The tap runs *here*, fused with the routing kernel
+    /// (every row reaches exactly one destination, so probing before
+    /// routing applies each filter to each row exactly once), hence the
+    /// passthrough emitters.
+    emitters: Vec<Emitter<'a>>,
+    kernel: TapKernel,
+    tr: OpTracer,
+    route: Vec<SelVec>,
+    owners: Vec<u32>,
+    digs: Vec<u64>,
+    /// Round-robin cursor for scattered (salted) rows; writers start at
+    /// their own index so a mesh's writers do not all hammer reader 0
+    /// first.
+    rr: u32,
+    /// Online skew observability: every routing digest feeds a
+    /// space-saving sketch (sharing the digest pass the router computed
+    /// anyway), so the metrics report which keys actually ran hot —
+    /// validating, or contradicting, the plan-time salt decision.
+    sketch: SpaceSaving,
+    seen: u64,
+    routed: Vec<u64>,
 }
 
-/// Run a `ShuffleRead` node: select-drain all mesh channels addressed to
-/// this partition, forwarding batches downstream (whole-batch, allocation
-/// adopted by the emitter), finishing when every writer has sent EOF. The
-/// optional tree input (the paired writer) only ever carries an EOF and is
-/// drained last.
-pub(crate) fn run_shuffle_read(
-    ctx: &Arc<ExecContext>,
-    op: OpId,
-    tree_inputs: Vec<Receiver<Msg>>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let node = ctx.plan.node(op);
-    let (mesh, partition) = match &node.kind {
-        PhysKind::ShuffleRead {
-            mesh, partition, ..
-        } => (*mesh, *partition),
-        other => return Err(exec_err!("run_shuffle_read on {}", other.name())),
-    };
-    let inputs = ctx
-        .take_shuffle_receivers(mesh, partition)
-        .ok_or_else(|| exec_err!("mesh {mesh} partition {partition} has no receivers"))?;
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    // Same live-set select loop as Merge: re-register only when an input
-    // reaches EOF, never per batch.
-    let mut live: Vec<usize> = (0..inputs.len()).collect();
-    'rebuild: while !live.is_empty() {
-        let mut sel = Select::new();
-        for &i in &live {
-            sel.recv(&inputs[i]);
+impl<'a> ShuffleWrite<'a> {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        monitor: &'a dyn ExecMonitor,
+        op: OpId,
+        mesh: u32,
+        col: usize,
+        writer: u32,
+        dop: u32,
+        salt: &'a Option<SaltSpec>,
+        out: Sender<Msg>,
+    ) -> Result<Self> {
+        let txs = ctx
+            .take_shuffle_senders(mesh, writer)
+            .ok_or_else(|| exec_err!("mesh {mesh} writer {writer} has no senders"))?;
+        Ok(ShuffleWrite {
+            ctx,
+            monitor,
+            op,
+            mesh,
+            col,
+            dop,
+            salt,
+            out,
+            emitters: txs
+                .into_iter()
+                .map(|tx| Emitter::passthrough(ctx, op, tx))
+                .collect(),
+            kernel: TapKernel::new(),
+            tr: ctx.tracer(op),
+            route: (0..dop as usize).map(|_| SelVec::default()).collect(),
+            owners: Vec::new(),
+            digs: Vec::new(),
+            rr: writer % dop,
+            sketch: SpaceSaving::new(SKETCH_CAPACITY),
+            seen: 0,
+            routed: vec![0u64; dop as usize],
+        })
+    }
+}
+
+impl PushOp for ShuffleWrite<'_> {
+    // Route the surviving selection. The routing digests come from the same
+    // cache as the tap's, so a filter over the shuffle key costs no extra
+    // hash pass. NULL routing keys hash like any value: all NULL rows of a
+    // stream land in one consistent partition, keeping the union across
+    // readers multiset-correct even for rows that can never join. Columnar
+    // batches are dealt as per-destination column gathers and stay
+    // columnar on the mesh.
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let (ctx, op, col) = (self.ctx, self.op, self.col);
+        self.kernel.begin(payload.len());
+        let t0 = self.tr.begin();
+        match &payload {
+            Payload::Batch(b) => self.kernel.probe_op(ctx, op, &b.rows),
+            Payload::Cols(c) => self.kernel.probe_op_cols(ctx, op, c),
+        };
+        self.tr.end(Phase::TapProbe, t0);
+        let t0 = self.tr.begin();
+        {
+            let d = match &payload {
+                Payload::Batch(b) => self.kernel.digests(&b.rows, &[col]),
+                Payload::Cols(c) => self.kernel.digests_cols(c, &[col]),
+            }
+            .digests();
+            self.owners.clear();
+            self.owners
+                .extend(d.iter().map(|&d| partition_of(d, self.dop)));
+            self.digs.clear();
+            self.digs.extend_from_slice(d);
         }
-        loop {
-            let t_recv = tr.begin();
-            let (slot, msg) = if live.len() == 1 {
-                (0, inputs[live[0]].recv())
-            } else {
-                let opn = sel.select();
-                let slot = opn.index();
-                (slot, opn.recv(&inputs[live[slot]]))
-            };
-            tr.end(Phase::ChannelRecv, t_recv);
-            match msg {
-                Ok(Msg::Batch(batch)) => {
-                    guard.on_batch()?;
-                    count_in(ctx, op, 0, batch.len());
-                    emitter.push_rows(batch.rows)?;
-                    emitter.flush()?;
-                    if emitter.cancelled() {
-                        // Downstream hung up: fall through to drop the mesh
-                        // receivers, which fails the writers' sends and
-                        // unwinds the whole parallel region.
-                        break 'rebuild;
-                    }
+        deal_routes(
+            self.salt,
+            self.dop,
+            &mut self.rr,
+            &mut self.seen,
+            &mut self.sketch,
+            &mut self.route,
+            &self.owners,
+            &self.digs,
+            self.kernel.sel(),
+        );
+        // One Compute span per batch covering digest + deal; the emitters'
+        // auto-flush sends inside extend_sel are recorded as nested time.
+        self.tr.end(Phase::Compute, t0);
+        let t_deal = self.tr.begin();
+        let dealt = self.route.iter().enumerate();
+        match &payload {
+            Payload::Batch(b) => {
+                for (owner, s) in dealt {
+                    self.routed[owner] += s.len() as u64;
+                    self.emitters[owner].extend_sel(&b.rows, s.as_slice())?;
                 }
-                Ok(Msg::Cols(batch)) => {
-                    guard.on_batch()?;
-                    count_in(ctx, op, 0, batch.len());
-                    emitter.push_cols(batch)?;
-                    if emitter.cancelled() {
-                        break 'rebuild;
-                    }
+            }
+            Payload::Cols(c) => {
+                for (owner, s) in dealt.filter(|(_, s)| !s.is_empty()) {
+                    self.routed[owner] += s.len() as u64;
+                    self.emitters[owner].push_cols(c.gather(s.as_slice()))?;
                 }
-                Ok(Msg::Eof) => {
-                    live.remove(slot);
-                    continue 'rebuild;
-                }
-                // A writer died mid-stream without Eof: the union across
-                // this mesh partition is incomplete — hard error, not a
-                // quiet live-set shrink.
-                Err(_) => return Err(ctx.disconnect_err(op)),
             }
         }
+        self.tr.add(Phase::Compute, t_deal);
+        Ok(())
     }
-    // Release the mesh receivers first: on the cancellation path writers
-    // may still be blocked mid-send into them, and they must observe the
-    // disconnect before they can reach their tree EOF.
-    drop(inputs);
-    // The paired writer finishes its mesh sends before its tree EOF, so by
-    // the time the mesh has fully EOF'd this drain returns promptly.
-    for rx in tree_inputs {
-        while let Ok(Msg::Batch(_) | Msg::Cols(_)) = rx.recv() {}
+
+    /// Every reader hung up (query failed/cancelled downstream): stop
+    /// pulling so the producer side winds down too.
+    fn hung_up(&self) -> bool {
+        self.emitters.iter().all(|e| e.cancelled())
     }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+
+    fn close(mut self) -> Result<()> {
+        for e in self.emitters {
+            e.finish()?;
+        }
+        // Publish routing observability once: per-destination row counts,
+        // the keys whose observed share of this writer's stream exceeded
+        // one reader's fair share, and the sketch itself (so a
+        // stage-boundary drain can merge the per-writer frequency summaries
+        // into one mesh-wide histogram).
+        let hot_threshold = (self.sketch.total() / self.dop.max(1) as u64).max(1);
+        let observed_hot = self.sketch.heavy_hitters(hot_threshold).len() as u64;
+        self.tr.set_routed(&self.routed, observed_hot);
+        self.tr.set_sketch(self.sketch);
+        self.tr.flush();
+        // Tree EOF first: the paired reader (and the rest of the pipeline)
+        // can keep draining while the last writer builds the boundary
+        // snapshot.
+        let _ = self.out.send(Msg::Eof);
+        if self.ctx.mesh_writer_finished(self.mesh) {
+            // This thread's flush above is already in the hub, so the drain
+            // sees every writer of the mesh — a complete stage picture.
+            let fb = self.ctx.stage_feedback(self.mesh);
+            self.monitor.on_stage_boundary(self.ctx, &fb);
+        }
+        Ok(())
+    }
 }

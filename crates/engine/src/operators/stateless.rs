@@ -12,169 +12,151 @@
 //! convert the batch to rows and take the row path — same results, same
 //! error behavior.
 
-use super::{count_in, Emitter, OpGuard};
+use super::driver::{Payload, PushOp};
+use super::Emitter;
 use crate::context::{ExecContext, Msg};
-use crate::physical::PhysKind;
-use crossbeam::channel::{Receiver, Sender};
-use sip_common::trace::Phase;
-use sip_common::{exec_err, Batch, ColumnarBatch, OpId, Result, Row, SelVec};
+use crossbeam::channel::Sender;
+use sip_common::trace::{OpTracer, Phase};
+use sip_common::{Batch, OpId, Result, Row, SelVec};
 use sip_expr::{eval_predicate_mask, Expr};
 use std::sync::Arc;
 
-/// Run a `Filter` node.
-pub(crate) fn run_filter(
-    ctx: &Arc<ExecContext>,
-    op: OpId,
-    input: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let pred = match &ctx.plan.node(op).kind {
-        PhysKind::Filter { predicate } => predicate.clone(),
-        other => return Err(exec_err!("run_filter on {}", other.name())),
-    };
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let mut sel = SelVec::default();
-    let mut mask: Vec<bool> = Vec::new();
-    // Per-batch row fallback for predicate shapes with no columnar kernel.
-    let filter_rows = |b: &mut Batch, sel: &mut SelVec| -> Result<()> {
-        sel.clear();
-        for (i, row) in b.rows.iter().enumerate() {
-            if pred.eval_bool(row)? {
-                sel.push(i as u32);
-            }
-        }
-        sel.compact(&mut b.rows);
-        Ok(())
-    };
-    loop {
-        let t0 = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t0);
-        match msg {
-            Ok(Msg::Batch(mut b)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, b.len());
-                let t0 = tr.begin();
-                filter_rows(&mut b, &mut sel)?;
-                tr.end(Phase::Compute, t0);
-                emitter.push_rows(b.rows)?;
-                emitter.flush()?;
-            }
-            Ok(Msg::Cols(c)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, c.len());
-                let t0 = tr.begin();
-                if eval_predicate_mask(&pred, &c, &mut mask) {
-                    sel.clear();
-                    for (i, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            sel.push(i as u32);
-                        }
-                    }
-                    let kept = if sel.len() == c.len() {
-                        c
-                    } else {
-                        c.gather(sel.as_slice())
-                    };
-                    tr.end(Phase::Compute, t0);
-                    emitter.push_cols(kept)?;
-                } else {
-                    let mut b = c.to_batch();
-                    filter_rows(&mut b, &mut sel)?;
-                    tr.end(Phase::Compute, t0);
-                    emitter.push_rows(b.rows)?;
-                    emitter.flush()?;
-                }
-            }
-            Ok(Msg::Eof) => break,
-            Err(_) => return Err(ctx.disconnect_err(op)),
-        }
-        if emitter.cancelled() {
-            break;
-        }
-    }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+/// A `Filter` node.
+pub(crate) struct Filter<'a> {
+    pred: &'a Expr,
+    emitter: Emitter<'a>,
+    tr: OpTracer,
+    sel: SelVec,
+    mask: Vec<bool>,
 }
 
-/// Run a `Project` node.
-pub(crate) fn run_project(
-    ctx: &Arc<ExecContext>,
-    op: OpId,
-    input: Receiver<Msg>,
-    out: Sender<Msg>,
-) -> Result<()> {
-    let exprs = match &ctx.plan.node(op).kind {
-        PhysKind::Project { exprs } => exprs.clone(),
-        other => return Err(exec_err!("run_project on {}", other.name())),
-    };
-    // A projection whose every output is a bare column reference is pure
-    // column selection — metadata-only over columnar input.
-    let selection: Option<Vec<usize>> = exprs
-        .iter()
-        .map(|e| match e {
-            Expr::Col(c) => Some(*c),
-            _ => None,
-        })
-        .collect();
-    let mut emitter = Emitter::new(ctx, op, out).outside_compute();
-    let mut guard = OpGuard::new(ctx, op);
-    let mut tr = ctx.tracer(op);
-    let project_rows = |rows: &[Row]| -> Result<Vec<Row>> {
+impl<'a> Filter<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        op: OpId,
+        pred: &'a Expr,
+        out: Sender<Msg>,
+    ) -> Self {
+        Filter {
+            pred,
+            emitter: Emitter::new(ctx, op, out).outside_compute(),
+            tr: ctx.tracer(op),
+            sel: SelVec::default(),
+            mask: Vec::new(),
+        }
+    }
+}
+
+impl PushOp for Filter<'_> {
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let t0 = self.tr.begin();
+        let sel = &mut self.sel;
+        sel.clear();
+        let payload = match payload {
+            Payload::Cols(c) if eval_predicate_mask(self.pred, &c, &mut self.mask) => {
+                for (i, &keep) in self.mask.iter().enumerate() {
+                    if keep {
+                        sel.push(i as u32);
+                    }
+                }
+                Payload::Cols(c)
+            }
+            // The row fallback for predicate shapes with no columnar kernel.
+            other => {
+                let b = other.into_rows();
+                for (i, row) in b.rows.iter().enumerate() {
+                    if self.pred.eval_bool(row)? {
+                        sel.push(i as u32);
+                    }
+                }
+                Payload::Batch(b)
+            }
+        };
+        let kept = payload.select(sel);
+        self.tr.end(Phase::Compute, t0);
+        self.emitter.forward(kept)
+    }
+
+    fn hung_up(&self) -> bool {
+        self.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        self.emitter.finish()?;
+        self.tr.flush();
+        Ok(())
+    }
+}
+
+/// A `Project` node.
+pub(crate) struct Project<'a> {
+    exprs: &'a [Expr],
+    /// A projection whose every output is a bare column reference is pure
+    /// column selection — metadata-only over columnar input.
+    selection: Option<Vec<usize>>,
+    emitter: Emitter<'a>,
+    tr: OpTracer,
+}
+
+impl<'a> Project<'a> {
+    pub(crate) fn new(
+        ctx: &'a Arc<ExecContext>,
+        op: OpId,
+        exprs: &'a [Expr],
+        out: Sender<Msg>,
+    ) -> Self {
+        let selection = exprs
+            .iter()
+            .map(|e| match e {
+                Expr::Col(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        Project {
+            exprs,
+            selection,
+            emitter: Emitter::new(ctx, op, out).outside_compute(),
+            tr: ctx.tracer(op),
+        }
+    }
+
+    fn project_rows(&self, rows: &[Row]) -> Result<Vec<Row>> {
         let mut out_rows = Vec::with_capacity(rows.len());
         for row in rows {
-            let mut vals = Vec::with_capacity(exprs.len());
-            for e in &exprs {
+            let mut vals = Vec::with_capacity(self.exprs.len());
+            for e in self.exprs {
                 vals.push(e.eval(row)?);
             }
             out_rows.push(Row::new(vals));
         }
         Ok(out_rows)
-    };
-    loop {
-        let t0 = tr.begin();
-        let msg = input.recv();
-        tr.end(Phase::ChannelRecv, t0);
-        match msg {
-            Ok(Msg::Batch(b)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, b.len());
-                let t0 = tr.begin();
-                let rows = project_rows(&b.rows)?;
-                tr.end(Phase::Compute, t0);
-                emitter.push_rows(rows)?;
-                emitter.flush()?;
+    }
+}
+
+impl PushOp for Project<'_> {
+    fn push(&mut self, _input: usize, payload: Payload) -> Result<()> {
+        let t0 = self.tr.begin();
+        match (payload, &self.selection) {
+            (Payload::Cols(c), Some(cols)) => {
+                let projected = Payload::Cols(c.select_columns(cols));
+                self.tr.end(Phase::Compute, t0);
+                self.emitter.forward(projected)
             }
-            Ok(Msg::Cols(c)) => {
-                guard.on_batch()?;
-                count_in(ctx, op, 0, c.len());
-                match &selection {
-                    Some(cols) => {
-                        let t0 = tr.begin();
-                        let projected: ColumnarBatch = c.select_columns(cols);
-                        tr.end(Phase::Compute, t0);
-                        emitter.push_cols(projected)?;
-                    }
-                    None => {
-                        let t0 = tr.begin();
-                        let rows = project_rows(&c.to_rows())?;
-                        tr.end(Phase::Compute, t0);
-                        emitter.push_rows(rows)?;
-                        emitter.flush()?;
-                    }
-                }
+            (payload, _) => {
+                let rows = self.project_rows(&payload.into_rows().rows)?;
+                self.tr.end(Phase::Compute, t0);
+                self.emitter.forward(Payload::Batch(Batch::new(rows)))
             }
-            Ok(Msg::Eof) => break,
-            Err(_) => return Err(ctx.disconnect_err(op)),
-        }
-        if emitter.cancelled() {
-            break;
         }
     }
-    emitter.finish()?;
-    tr.flush();
-    Ok(())
+
+    fn hung_up(&self) -> bool {
+        self.emitter.cancelled()
+    }
+
+    fn close(self) -> Result<()> {
+        self.emitter.finish()?;
+        self.tr.flush();
+        Ok(())
+    }
 }

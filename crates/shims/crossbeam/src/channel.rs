@@ -430,35 +430,6 @@ impl SelectedOperation<'_> {
     }
 }
 
-/// Two-arm receive multiplexing, crossbeam-channel style:
-///
-/// ```ignore
-/// crossbeam::channel::select! {
-///     recv(rx_a) -> msg => handle_a(msg),
-///     recv(rx_b) -> msg => handle_b(msg),
-/// }
-/// ```
-#[macro_export]
-macro_rules! select {
-    (recv($r1:expr) -> $m1:pat => $e1:expr, recv($r2:expr) -> $m2:pat => $e2:expr $(,)?) => {{
-        let __sel_r1 = &$r1;
-        let __sel_r2 = &$r2;
-        let mut __sel = $crate::channel::Select::new();
-        __sel.recv(__sel_r1);
-        __sel.recv(__sel_r2);
-        let __op = __sel.select();
-        if __op.index() == 0 {
-            let $m1 = __op.recv(__sel_r1);
-            $e1
-        } else {
-            let $m2 = __op.recv(__sel_r2);
-            $e2
-        }
-    }};
-}
-
-pub use crate::select;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,40 +511,6 @@ mod tests {
             .flat_map(|s| (0..100).map(move |i| s * 1000 + i))
             .collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn select_macro_picks_live_arm() {
-        let (tx_a, rx_a) = bounded::<u32>(1);
-        let (tx_b, rx_b) = bounded::<u32>(1);
-        tx_b.send(42).unwrap();
-        let (idx, val) = select! {
-            recv(rx_a) -> m => (0, m),
-            recv(rx_b) -> m => (1, m),
-        };
-        assert_eq!((idx, val), (1, Ok(42)));
-        drop(tx_a);
-        let (idx, val) = select! {
-            recv(rx_a) -> m => (0usize, m),
-            recv(rx_b) -> m => (1, m),
-        };
-        assert!(idx == 0 && val.is_err());
-    }
-
-    #[test]
-    fn select_blocks_until_message() {
-        let (tx, rx_a) = bounded::<u32>(1);
-        let (_tx_b, rx_b) = bounded::<u32>(1);
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            tx.send(5).unwrap();
-        });
-        let got = select! {
-            recv(rx_a) -> m => m.unwrap(),
-            recv(rx_b) -> m => m.unwrap(),
-        };
-        assert_eq!(got, 5);
-        t.join().unwrap();
     }
 
     #[test]
