@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Figures: table1, fig1, fig2, fig5..fig14 (time/space pairs run
-//! together), overhead, scaling, skew, adaptive, kernels, admit,
-//! columnar, ablation-sets, ablation-fpr, ablation-minmax, all.
+//! together), overhead, scaling, skew, kernels, admit, columnar,
+//! recovery, ablation-sets, ablation-fpr, ablation-minmax, profile, all.
+//! An unknown name prints the usage and exits non-zero.
 //!
 //! `--json <dir>` additionally writes one machine-readable
 //! `BENCH_<figure>.json` per measured figure into `<dir>` (created if
@@ -96,41 +97,15 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --retries: {e}"))?
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--figure all|table1|fig1|fig2|fig5|fig6|fig9|fig10|fig13|\
-overhead|scaling|skew|adaptive|kernels|admit|columnar|recovery|ablation-sets|ablation-fpr|\
-ablation-minmax] \
-[--sf F] \
-[--repeats N] [--seed S] [--batch-size N] [--channel-capacity N] [--dop N] \
-[--merge-fanin N] [--timeout-ms N] [--retries N] [--json DIR]\n\n\
-  --batch-size N        rows per engine batch (default 1024); also the\n\
-                        batch the `kernels`/`admit` micro-figures sweep\n\
-  --channel-capacity N  bounded-channel backpressure window, in batches\n\
-                        (default 16)\n\
-  --dop N               max degree of partition parallelism swept by the\n\
-                        `scaling` and `skew` benchmarks (powers of two up\n\
-                        to N; default 4, 1 = serial only)\n\
-  --merge-fanin N       merge-tree fan-in for parallel runs (0 = auto:\n\
-                        flat up to dop 4, binary tree above)\n\
-  --timeout-ms N        per-query deadline in milliseconds; a run past it\n\
-                        fails with `deadline exceeded` plus per-phase\n\
-                        time shares (default: no deadline; 0 is rejected)\n\
-  --retries N           retry budget (total attempts) for the whole-run\n\
-                        retry loop and stage checkpoints (default 0 =\n\
-                        fail-fast, no recovery)\n\
-  --json DIR            also write BENCH_<figure>.json per measured\n\
-                        figure into DIR (created if missing)\n\
-  --profile DIR         run the span-traced query profiles (Q4A at dop\n\
-                        1/2/4 plus the salted-shuffle exemplar), print\n\
-                        their EXPLAIN ANALYZE trees, and write one\n\
-                        schema-checked PROFILE_<run>.json per run into\n\
-                        DIR (created if missing)"
-                );
+                println!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other}")),
         }
         i += 1;
+    }
+    if !is_known_figure(&figure) {
+        return Err(format!("unknown figure {figure}\n\n{}", usage()));
     }
     Ok(Args {
         figure,
@@ -148,6 +123,7 @@ struct Selection {
 
 impl Selection {
     fn wants(&self, name: &str) -> bool {
+        debug_assert!(FIGURES.contains(&name), "{name} missing from FIGURES");
         self.run_all || self.fig == name || alias(&self.fig) == name
     }
 }
@@ -273,9 +249,6 @@ fn main() -> ExitCode {
     run_figures(&sel, "skew", json, cfg, &mut failed, || {
         harness.skew().map(|r| vec![r])
     });
-    run_figures(&sel, "adaptive", json, cfg, &mut failed, || {
-        harness.adaptive().map(|r| vec![r])
-    });
     run_figures(&sel, "kernels", json, cfg, &mut failed, || {
         harness.kernels().map(|r| vec![r])
     });
@@ -335,6 +308,73 @@ fn main() -> ExitCode {
     }
 }
 
+/// Every name `--figure` accepts besides the aliases: the sections and
+/// measured figures `main` dispatches, `profile`, and `all`.
+const FIGURES: &[&str] = &[
+    "all",
+    "table1",
+    "fig1",
+    "fig2",
+    "fig5",
+    "fig6",
+    "fig9",
+    "fig10",
+    "fig13",
+    "overhead",
+    "scaling",
+    "skew",
+    "kernels",
+    "admit",
+    "columnar",
+    "recovery",
+    "ablation-sets",
+    "ablation-fpr",
+    "ablation-minmax",
+    "profile",
+];
+
+/// Does `--figure name` select anything? Case-insensitive, aliases
+/// included, so a typo fails instead of silently running nothing.
+fn is_known_figure(name: &str) -> bool {
+    FIGURES.contains(&alias(&name.to_ascii_lowercase()))
+}
+
+/// The `--help` text. The flag descriptions are one multi-line literal
+/// so their indentation survives (a `\` line continuation would strip
+/// it).
+fn usage() -> String {
+    format!(
+        "usage: repro [--figure {}] [--sf F] [--repeats N] [--seed S] \
+[--batch-size N] [--channel-capacity N] [--dop N] [--merge-fanin N] \
+[--timeout-ms N] [--retries N] [--json DIR] [--profile DIR]
+
+  --figure NAME         one section or figure (default all); fig7, fig8,
+                        fig11, fig12 and fig14 run their time/space pair
+  --batch-size N        rows per engine batch (default 1024); also the
+                        batch the `kernels`/`admit` micro-figures sweep
+  --channel-capacity N  bounded-channel backpressure window, in batches
+                        (default 16)
+  --dop N               max degree of partition parallelism swept by the
+                        `scaling` and `skew` benchmarks (powers of two up
+                        to N; default 4, 1 = serial only)
+  --merge-fanin N       merge-tree fan-in for parallel runs (0 = auto:
+                        flat up to dop 4, binary tree above)
+  --timeout-ms N        per-query deadline in milliseconds; a run past it
+                        fails with `deadline exceeded` plus per-phase
+                        time shares (default: no deadline; 0 is rejected)
+  --retries N           retry budget (total attempts) for the whole-run
+                        retry loop (default 0 = fail-fast, no recovery)
+  --json DIR            also write BENCH_<figure>.json per measured
+                        figure into DIR (created if missing)
+  --profile DIR         run the span-traced query profiles (Q4A at dop
+                        1/2/4 plus the salted-shuffle exemplar), print
+                        their EXPLAIN ANALYZE trees, and write one
+                        schema-checked PROFILE_<run>.json per run into
+                        DIR (created if missing)",
+        FIGURES.join("|")
+    )
+}
+
 /// Figure aliases: asking for a space figure runs its time/space pair.
 fn alias(f: &str) -> &str {
     match f {
@@ -344,5 +384,24 @@ fn alias(f: &str) -> &str {
         "fig12" => "fig10",
         "fig14" => "fig13",
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_names_validate_against_the_known_list() {
+        for name in FIGURES {
+            assert!(is_known_figure(name), "{name}");
+        }
+        for name in ["fig7", "fig8", "fig11", "fig12", "fig14", "FIG5", "All"] {
+            assert!(is_known_figure(name), "{name}");
+        }
+        for name in ["nosuchfig", "adaptive", "fig3", ""] {
+            assert!(!is_known_figure(name), "{name}");
+        }
+        assert!(usage().contains(&FIGURES.join("|")));
     }
 }

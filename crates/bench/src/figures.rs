@@ -1689,309 +1689,6 @@ x dop x salting"
         })
     }
 
-    /// Stage-boundary adaptive execution figure: a two-join plan whose
-    /// mid-plan selectivity is invisible to base-table statistics, swept
-    /// over dop {1, 2, 4} × {frozen, adaptive}, both under the cost-based
-    /// AIP controller.
-    ///
-    /// fact(fa, fb, flag): `flag` carries ~120 distinct values but 70% of
-    /// the rows hold `flag = 1`, so the per-column estimate (`1/distinct`)
-    /// prices the filtered stream at under 1% of the fact table while the
-    /// true survivor share is 70% — a value-frequency skew no distinct
-    /// count or min/max reveals. The frozen plan's controller evaluates
-    /// the dim2-side AIP filter against that estimate and **rejects** it
-    /// (building a set over dim2's keys costs more than the estimated
-    /// probe stream could save). The adaptive executor materializes the
-    /// stage-1 output as `__stage1` with exact statistics, re-runs
-    /// UPDATEESTIMATES against them, and the *same* controller flips to
-    /// **building** the filter — pruning the ~96% of survivors whose `fb`
-    /// misses dim2 before they reach the probe. The measured stage-1
-    /// cardinality also re-chooses the stage-2 dop (serial at default
-    /// scale: no shuffle mesh, no merge tree, one dim2 scan instead of
-    /// dop co-partitioned ones).
-    ///
-    /// A short initial-only stall on the fact feed lets every dimension
-    /// build finish — and the frozen controller decide — before the first
-    /// fact row moves, so the frozen reject is deterministic rather than
-    /// a race against the scan. Both modes pay the same stall once.
-    pub fn adaptive(&self) -> Result<FigureReport> {
-        use sip_common::{DataType, Field, FxHashMap, Row, Schema, Value};
-        use sip_data::Table;
-        use sip_engine::canonical;
-        use sip_expr::Expr;
-        use sip_parallel::{AdaptiveConfig, AdaptiveExec, PartitionConfig, PartitionedExec};
-        use sip_plan::QueryBuilder;
-
-        const FLAG_VALUES: i64 = 200;
-        const DIM1_KEYS: i64 = 200;
-        const DIM1_FANOUT: i64 = 5;
-        const DIM2_KEYS: i64 = 30_000;
-        const DIM3_KEYS: i64 = 30_000;
-        let n_rows = ((2_400_000.0 * self.config.scale_factor) as usize).max(24_000);
-        let fact_delay = DelayModel::initial_only(std::time::Duration::from_millis(60));
-        // Applies only where a `__stage1` binding exists — the adaptive
-        // stage-2 plan. It holds the re-scanned stream just long enough for
-        // the dim2/dim3 builds (and the controller's decisions) to land,
-        // the same determinism the fact stall buys stage 1; the frozen plan
-        // has no such binding and never pays it.
-        let stage2_delay = DelayModel::initial_only(std::time::Duration::from_millis(35));
-
-        let int = |n: &str| Field::new(n, DataType::Int);
-        let facts: Vec<Row> = (0..n_rows as i64)
-            .map(|i| {
-                let flagged = i % 10 < 9;
-                let flag = if flagged {
-                    1
-                } else {
-                    2 + i % (FLAG_VALUES - 1)
-                };
-                // Survivors overwhelmingly miss dim3 (unique cold keys); 1
-                // in 25 hits it. Filtered-out rows stay in dim3's domain so
-                // the base table's fc statistics smell uniform. fb always
-                // hits dim2 — that join passes everything.
-                let fc = if !flagged || i % 25 == 0 {
-                    1 + i % DIM3_KEYS
-                } else {
-                    DIM3_KEYS + 1 + i
-                };
-                Row::new(vec![
-                    Value::Int(1 + i % DIM1_KEYS),
-                    Value::Int(1 + i % DIM2_KEYS),
-                    Value::Int(fc),
-                    Value::Int(flag),
-                ])
-            })
-            .collect();
-        let dim = |name: &str, col: &str, keys: i64, copies: i64| {
-            Table::new(
-                name,
-                Schema::new(vec![Field::new(col, DataType::Int)]),
-                vec![],
-                vec![],
-                (0..keys * copies)
-                    .map(|k| Row::new(vec![Value::Int(k % keys + 1)]))
-                    .collect(),
-            )
-            .unwrap()
-        };
-        let mut catalog = sip_data::Catalog::new();
-        catalog.add(
-            Table::new(
-                "fact",
-                Schema::new(vec![int("fa"), int("fb"), int("fc"), int("flag")]),
-                vec![],
-                vec![],
-                facts,
-            )
-            .unwrap(),
-        );
-        // dim1 multiplies: five rows per key, so the joined stream crossing
-        // the frozen plan's shuffle meshes is ~4.5x the base table the
-        // (shared) stage-1 scans read.
-        catalog.add(dim("dim1", "da", DIM1_KEYS, DIM1_FANOUT));
-        catalog.add(dim("dim2", "db", DIM2_KEYS, 1));
-        catalog.add(dim("dim3", "dc", DIM3_KEYS, 1));
-
-        // σ(flag=1)(fact) ⋈ dim1 on fa, then ⋈ dim2 on fb, then ⋈ dim3 on
-        // fc: stacked stateful operators on three different key classes.
-        // The adaptive split lands on the first join; at dop > 1 the frozen
-        // plan must carry the multiplied stream across TWO shuffle meshes
-        // (fa-class to fb-class to fc-class) and probe it through both
-        // downstream joins, while the adaptive stage 2 prunes the rescan at
-        // its source with the flipped fc filter.
-        let mut q = QueryBuilder::new(&catalog);
-        let f = q.scan("fact", "f", &["fa", "fb", "fc", "flag"]).unwrap();
-        let pred = f.col("flag").unwrap().eq(Expr::lit(1i64));
-        let f = q.filter(f, pred);
-        let d1 = q.scan("dim1", "d1", &["da"]).unwrap();
-        let j1 = q.join(f, d1, &[("f.fa", "d1.da")]).unwrap();
-        let d2 = q.scan("dim2", "d2", &["db"]).unwrap();
-        let j2 = q.join(j1, d2, &[("f.fb", "d2.db")]).unwrap();
-        let d3 = q.scan("dim3", "d3", &["dc"]).unwrap();
-        let j3 = q.join(j2, d3, &[("f.fc", "d3.dc")]).unwrap();
-        let plan = j3.into_plan();
-        let eq = PredicateIndex::build(&plan).eq;
-        let phys = Arc::new(sip_engine::lower(&plan, q.into_attrs(), &catalog).unwrap());
-
-        // Stage-2 dop floor: at default scale the measured stage-1 stream
-        // cannot amortize per-partition overhead, so the clamp collapses
-        // stage 2 to serial; at full scale (--sf 1) it sustains the dop.
-        let adaptive_cfg = || AdaptiveConfig {
-            min_rows_per_partition: 600_000,
-            partition: PartitionConfig::default(),
-        };
-        let controller = || {
-            sip_core::CostBased::new(
-                eq.clone(),
-                AipConfig::hash_sets(),
-                sip_optimizer::CostModel::default(),
-            )
-        };
-
-        let mut dops = vec![1u32];
-        let mut d = 2;
-        while d <= self.config.dop.max(1) {
-            dops.push(d);
-            d *= 2;
-        }
-        let mut rows_out: Vec<ReportRow> = Vec::new();
-        let mut notes: Vec<String> = Vec::new();
-        let mut reference: Option<Vec<String>> = None;
-        let mut frozen_secs: FxHashMap<u32, f64> = Default::default();
-        let mut ratio_at_top: Option<f64> = None;
-
-        // One untimed adaptive pass faults the generated tables in and
-        // warms the allocator for the stage-1 materialization, so the
-        // first measured cell is not charged the cold-start cost.
-        {
-            let mut opts = self.config.exec_options()?;
-            opts = opts
-                .with_delay("fact", fact_delay.clone())
-                .with_delay("__stage1", stage2_delay.clone());
-            let exec = AdaptiveExec::with_config(*dops.last().unwrap(), adaptive_cfg());
-            exec.execute(Arc::clone(&phys), Arc::new(sip_engine::NoopMonitor), opts)?;
-        }
-
-        // Best-of-N repeats per cell: the workload is deterministic, and
-        // on a machine with a large resident heap the runs that materialize
-        // a large intermediate suffer one-sided multi-hundred-ms page-fault
-        // stalls (observed ~20% of runs under a microVM). The minimum is
-        // the unperturbed cost of either strategy; the ±95% column still
-        // reports the spread across all repeats.
-        let reps = self.config.repeats.max(5);
-        for &dop in &dops {
-            for adapt in [false, true] {
-                let mut secs = Vec::with_capacity(reps);
-                let mut out_rows = 0u64;
-                let mut extra = String::new();
-                for rep in 0..reps {
-                    let cb = controller();
-                    let mut opts = self.config.exec_options()?;
-                    opts = opts
-                        .with_delay("fact", fact_delay.clone())
-                        .with_delay("__stage1", stage2_delay.clone());
-                    opts.collect_rows = true;
-                    let monitor = Arc::clone(&cb) as Arc<dyn sip_engine::ExecMonitor>;
-                    // One clock around the whole call: the adaptive arm is
-                    // charged for everything between its stages too (the
-                    // materialization and statistics pass), not just the
-                    // two stages' own wall clocks.
-                    let t0 = std::time::Instant::now();
-                    let (out, report) = if adapt {
-                        let exec = AdaptiveExec::with_config(dop, adaptive_cfg());
-                        let (out, _map, report) = exec.execute(Arc::clone(&phys), monitor, opts)?;
-                        (out, Some(report))
-                    } else {
-                        let exec = PartitionedExec::with_config(dop, PartitionConfig::default());
-                        let (out, _map) = exec.execute(Arc::clone(&phys), monitor, opts)?;
-                        (out, None)
-                    };
-                    secs.push(t0.elapsed().as_secs_f64());
-                    if std::env::var_os("ADAPTIVE_DEBUG").is_some() {
-                        // Untraced diagnostics: op-level tracing distorts
-                        // scheduling on one core, but row counters are
-                        // always on, and the total rows emitted across ops
-                        // exposes a lost tap race (no pruning) instantly.
-                        let oprows: u64 = out.metrics.per_op.iter().map(|m| m.rows_out).sum();
-                        eprintln!(
-                            "  dop {dop} adapt {adapt} rep {rep}: {:.3}s s1={:.3}s oprows={oprows}",
-                            secs.last().unwrap(),
-                            report
-                                .as_ref()
-                                .map(|r| r.stage1_wall.as_secs_f64())
-                                .unwrap_or(0.0),
-                        );
-                        if rep == 0 {
-                            if let Some(r) = &report {
-                                for l in &r.decisions {
-                                    eprintln!("    [stage] {l}");
-                                }
-                            }
-                            for l in cb.decisions() {
-                                eprintln!("    [cb] {l}");
-                            }
-                        }
-                    }
-                    out_rows = out.rows.len() as u64;
-                    let got = canonical(&out.rows);
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(want) => {
-                            if &got != want {
-                                return Err(sip_common::SipError::Exec(format!(
-                                    "adaptive figure: dop {dop} adapt {adapt} \
-changed the result multiset"
-                                )));
-                            }
-                        }
-                    }
-                    if rep + 1 == reps {
-                        let decisions = cb.decisions();
-                        let rejects = decisions
-                            .iter()
-                            .filter(|l| l.starts_with("reject "))
-                            .count();
-                        let builds = decisions.iter().filter(|l| l.starts_with("build ")).count();
-                        extra = match report {
-                            Some(r) => format!(
-                                "s1={:.3}s/{} rows, stage2 dop={} hot_share={:.2} \
-builds={builds} rejects={rejects}",
-                                r.stage1_wall.as_secs_f64(),
-                                r.stage1_rows,
-                                r.stage2_dop,
-                                r.hot_share
-                            ),
-                            None => format!("builds={builds} rejects={rejects}"),
-                        };
-                    }
-                }
-                let best_secs = secs.iter().copied().fold(f64::INFINITY, f64::min);
-                if !adapt {
-                    frozen_secs.insert(dop, best_secs);
-                } else {
-                    let ratio = frozen_secs.get(&dop).map(|f| f / best_secs).unwrap_or(1.0);
-                    if dop == *dops.last().unwrap() {
-                        ratio_at_top = Some(ratio);
-                    }
-                    let _ = write!(extra, " {ratio:.2}x vs frozen");
-                }
-                rows_out.push(ReportRow {
-                    query: format!("dop={dop}"),
-                    strategy: if adapt { "adaptive" } else { "frozen" }.to_string(),
-                    secs: best_secs,
-                    ci: ci95(&secs),
-                    state_mb: 0.0,
-                    rows: out_rows,
-                    extra,
-                    ..Default::default()
-                });
-            }
-        }
-        if let Some(r) = ratio_at_top {
-            notes.push(format!(
-                "dop={}: adaptive is {r:.2}x the frozen plan (acceptance bar 1.3x at dop 4) — \
-runtime UPDATEESTIMATES flips the frozen controller's filter reject to a build, and the \
-measured stage-1 cardinality re-chooses the downstream dop.",
-                dops.last().unwrap()
-            ));
-        }
-        notes.push(format!(
-            "flag: {FLAG_VALUES} distinct values but 90% hold flag=1, so plan-time selectivity \
-(1/distinct) underestimates the joined stream ~180x; only the materialized __stage1 stats \
-see it, flipping the frozen controller's fc-filter reject into a stage-2 build whose tap \
-prunes the rescan before both downstream meshes."
-        ));
-        Ok(FigureReport {
-            id: "adaptive".into(),
-            title: format!(
-                "stage-boundary adaptive execution: stats-invisible mid-plan skew \
-({n_rows} rows, dim3 {DIM3_KEYS} keys, delayed source) x dop x frozen/adaptive"
-            ),
-            rows: rows_out,
-            notes,
-        })
-    }
-
     /// `repro --profile <dir>`: schema-checked [`QueryProfile`] artifacts
     /// plus the matching EXPLAIN ANALYZE trees, both rendered from the
     /// same frozen profile so they cannot disagree.

@@ -1,8 +1,7 @@
 //! # sip-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§VI). The `repro` binary drives it; the Criterion
-//! benches reuse the same runners for statistically tighter microbenches.
+//! paper's evaluation (§VI). The `repro` binary drives it.
 //!
 //! Absolute numbers differ from the paper (different hardware, scale
 //! factor, and a Rust engine instead of 80 kLoC of C++); the quantities

@@ -31,8 +31,7 @@ pub struct ExperimentConfig {
     /// plus its per-phase time shares.
     pub timeout_ms: Option<u64>,
     /// Retry budget (`--retries`): total attempts of the whole-run retry
-    /// loop (adaptive runs draw their stage-checkpoint retries from the
-    /// same policy). 0 disables recovery (fail-fast).
+    /// loop. 0 disables recovery (fail-fast).
     pub retries: u32,
 }
 

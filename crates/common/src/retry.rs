@@ -2,11 +2,10 @@
 //! deterministic jitter, and retryability classification over
 //! [`ExecFailure`] classes.
 //!
-//! One policy type serves every recovery scope in the system — the
-//! engine's whole-run retry loop (`sip_engine::run_with_recovery`, which
-//! also heals remote-link faults) and `AdaptiveExec`'s stage-checkpoint
-//! recovery — so budgets, backoff curves, and
-//! exhaustion reporting behave identically everywhere. The policy also
+//! The policy drives the engine's one recovery scope, the whole-run retry
+//! loop (`sip_engine::run_with_recovery`, which also heals remote-link
+//! faults), so budgets, backoff curves, and exhaustion reporting behave
+//! identically on every entry point. The policy also
 //! arms the engine's per-run progress watchdog
 //! ([`RetryPolicy::stall_quantum`]), which turns a wedged run into a
 //! retryable [`ExecFailure::Stall`].

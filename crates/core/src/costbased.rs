@@ -233,12 +233,10 @@ impl CostBased {
 
 impl ExecMonitor for CostBased {
     fn on_query_start(&self, ctx: &Arc<ExecContext>) {
-        // One manager may serve several executions of one query (the
-        // adaptive executor runs stage 1 and the re-planned stage 2 as
-        // separate plans over the same attribute catalog). State keyed by
-        // operator index is per-plan and must not leak across runs; the
-        // decision log deliberately persists — it is the cross-stage
-        // story the report prints.
+        // A retried attempt re-runs the query under the same manager.
+        // State keyed by operator index is per-run and must not leak
+        // across attempts; the decision log deliberately persists — it is
+        // the whole run's story, retries included.
         self.publish.start(ctx);
         self.stage_actuals.lock().clear();
     }

@@ -49,9 +49,9 @@ impl Publisher {
 
     /// Per-run start: compute the candidate index and register one unit of
     /// interest per user. Partial sets are keyed by per-plan operator
-    /// index, so residue of an earlier run (a retried attempt, or another
-    /// stage of an adaptive query) would complete this run's OR-merge early
-    /// with whole partitions missing; it is dropped here.
+    /// index, so residue of an earlier attempt of a retried run would
+    /// complete this attempt's OR-merge early with whole partitions
+    /// missing; it is dropped here.
     pub(crate) fn start(&self, ctx: &ExecContext) -> Arc<Candidates> {
         self.partial_sets.lock().clear();
         let cands = Arc::new(Candidates::compute(&ctx.plan, &self.eq));

@@ -184,9 +184,8 @@ pub struct ExecOptions {
     /// Recovery policy. `None` (the default) is fail-fast: the first
     /// failure kills the query. `Some(policy)` lets the whole-run retry
     /// loop ([`crate::run_with_recovery`]) re-run the query on panics,
-    /// errors and stalls, lets `AdaptiveExec` retry stage 2 from its
-    /// checkpoint, and — when the policy sets a `stall_quantum` — arms
-    /// the per-run progress watchdog.
+    /// errors and stalls, and — when the policy sets a `stall_quantum` —
+    /// arms the per-run progress watchdog.
     pub retry: Option<RetryPolicy>,
 }
 

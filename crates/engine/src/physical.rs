@@ -506,15 +506,6 @@ impl PhysPlan {
         pn.inputs.iter().copied().find(|&c| c != op)
     }
 
-    /// All stateful operators.
-    pub fn stateful_nodes(&self) -> Vec<OpId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind.is_stateful())
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// Nodes (in arena order = topological) whose output layout carries
     /// `attr`.
     pub fn nodes_with_attr(&self, attr: AttrId) -> Vec<OpId> {
@@ -909,9 +900,10 @@ mod tests {
     fn stateful_and_attr_lookup() {
         let c = catalog();
         let plan = sample_plan(&c);
-        let stateful = plan.stateful_nodes();
-        assert_eq!(stateful.len(), 2); // aggregate + join
-                                       // p_partkey appears at the part scan, filter, join, project.
+        // The aggregate and the join hold state.
+        let stateful = plan.nodes.iter().filter(|n| n.kind.is_stateful());
+        assert_eq!(stateful.count(), 2);
+        // p_partkey appears at the part scan, filter, join, project.
         let p_partkey = plan
             .attrs
             .iter()

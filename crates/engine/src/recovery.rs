@@ -13,10 +13,7 @@
 //! [`sip_common::RetryPolicy::stall_quantum`] set, [`crate::execute_ctx`]
 //! runs a progress watchdog that fails an attempt with a retryable
 //! [`sip_common::ExecFailure::Stall`] when no batch crosses any plan edge
-//! for one quantum, and this loop re-runs it. `AdaptiveExec` gets
-//! stage-checkpoint recovery from the same loop: its stage 2 executes
-//! against the materialized `__stage1` table, so a stage-2 retry never
-//! re-runs stage 1.
+//! for one quantum, and this loop re-runs it.
 
 use crate::context::ExecOptions;
 use crate::exec::QueryOutput;

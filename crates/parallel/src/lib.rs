@@ -42,10 +42,8 @@
 mod partition;
 mod shuffle;
 
-pub mod adaptive;
 pub mod exec;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveExec, AdaptiveReport};
 pub use exec::PartitionedExec;
 pub use partition::{partition_plan, partition_plan_cfg, PartitionError};
 pub use shuffle::{PartitionConfig, SaltConfig};

@@ -1,6 +1,5 @@
 //! Chaos differential sweep for the parallel executor: injected faults ×
-//! dop {1, 2, 4} × routing variant (plain hash, salting forced, adaptive
-//! re-planning).
+//! dop {1, 2, 4} × routing variant (plain hash, salting forced).
 //!
 //! The invariant under every combination: a run returns either a result
 //! **byte-identical to the serial oracle** or a **clean attributed
@@ -17,7 +16,7 @@ use sip_engine::{
     canonical, execute_ctx, execute_oracle, ExecContext, ExecOptions, FaultKind, FaultPlan,
     NoopMonitor, PhysKind,
 };
-use sip_parallel::{partition_plan_cfg, AdaptiveExec, PartitionConfig, SaltConfig};
+use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
 use sip_queries::build_query;
 use std::sync::Arc;
 
@@ -174,32 +173,6 @@ fn faults_with_salting_forced_never_yield_partial_ok() {
             let result = execute_ctx(ctx, Arc::new(NoopMonitor)).map(|out| out.rows);
             check_outcome(
                 &format!("Q4A salted dop {dop} {}", s.label),
-                &expected,
-                result,
-                s.must_fail,
-            );
-        }
-    }
-}
-
-/// Adaptive (stage-split, measure, re-plan) execution under the scenario
-/// sweep: faults fire inside stage 1 or the re-planned stage 2 and must
-/// surface identically; fault-free adaptive runs stay byte-identical.
-#[test]
-fn faults_under_adaptive_execution_never_yield_partial_ok() {
-    let catalog = catalog();
-    let spec = build_query("EX", &catalog).unwrap();
-    let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
-    let expected = canonical(&execute_oracle(&phys).unwrap());
-    for dop in [1u32, 2, 4] {
-        for s in scenarios() {
-            let opts = ExecOptions::default().with_faults(s.faults.clone());
-            let exec = AdaptiveExec::new(dop);
-            let result = exec
-                .execute(Arc::clone(&phys), Arc::new(NoopMonitor), opts)
-                .map(|(out, _, _)| out.rows);
-            check_outcome(
-                &format!("EX adaptive dop {dop} {}", s.label),
                 &expected,
                 result,
                 s.must_fail,

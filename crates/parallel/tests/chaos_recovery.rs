@@ -1,5 +1,5 @@
-//! Chaos suite for the recovery layer: whole-run retry, the progress
-//! watchdog, and stage-checkpoint recovery.
+//! Chaos suite for the recovery layer: whole-run retry and the progress
+//! watchdog.
 //!
 //! The recovery contract sharpens the fail-fast invariant: a retryable
 //! failure (panic, error, stall) *below* the configured budget must yield
@@ -10,14 +10,14 @@
 //! reaped — checked through each attempt's thread ledger.
 
 use sip_common::retry::{is_exhausted, RetryPolicy};
-use sip_common::{ExecFailure, Result, Row, Value};
+use sip_common::{ExecFailure, Result};
 use sip_core::{run_query_dop, AipConfig, Strategy};
-use sip_data::{generate, Catalog, Table, TpchConfig};
+use sip_data::{generate, Catalog, TpchConfig};
 use sip_engine::{
-    canonical, execute_ctx, execute_oracle, lower, run_with_recovery, ExecContext, ExecOptions,
-    FaultKind, FaultPlan, NoopMonitor, PartitionMap, PhysPlan, QueryOutput,
+    canonical, execute_ctx, execute_oracle, run_with_recovery, ExecContext, ExecOptions, FaultKind,
+    FaultPlan, NoopMonitor, PartitionMap, PhysPlan, QueryOutput,
 };
-use sip_parallel::{partition_plan_cfg, AdaptiveExec, PartitionConfig, SaltConfig};
+use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
 use sip_queries::build_query;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -259,73 +259,4 @@ fn bounded_faults_across_dop_heal_byte_identically() {
             assert!(out.metrics.recovered, "EX dop {dop} {kind_name}: flag");
         }
     }
-}
-
-/// Stage-checkpoint recovery: a fault that fires only in stage 2 of an
-/// adaptive run is retried from the materialized `__stage1` table —
-/// stage 1 runs exactly once.
-#[test]
-fn adaptive_stage2_retries_from_the_stage1_checkpoint() {
-    use sip_common::{DataType, Field, Schema};
-    use sip_expr::AggFunc;
-    use sip_plan::QueryBuilder;
-    // join (stateful) under aggregate (stateful): the split lands at the
-    // join, so the Aggregate exists only in stage 2.
-    let schema = Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("v", DataType::Int),
-    ]);
-    let rows: Vec<Row> = (0..4000)
-        .map(|i| Row::new(vec![Value::Int(i % 31), Value::Int(i)]))
-        .collect();
-    let mut c = Catalog::new();
-    c.add(Table::new("t", schema.clone(), vec![], vec![], rows.clone()).unwrap());
-    c.add(Table::new("u", schema, vec![], vec![], rows).unwrap());
-    let mut q = QueryBuilder::new(&c);
-    let t = q.scan("t", "t", &["k", "v"]).unwrap();
-    let u = q.scan("u", "u", &["k", "v"]).unwrap();
-    let j = q.join(t, u, &[("t.k", "u.k")]).unwrap();
-    let agg = {
-        let v = j.col("t.v").unwrap();
-        q.aggregate(j, &["t.k"], &[(AggFunc::Sum, v, "s")]).unwrap()
-    };
-    let phys = Arc::new(lower(agg.plan(), q.attrs().clone(), &c).unwrap());
-    let expected = canonical(&execute_oracle(&phys).unwrap());
-
-    let opts = ExecOptions::default()
-        .with_faults(FaultPlan::none().with_kind_fault_times("Aggregate", 1, FaultKind::Error, 1))
-        .with_retry(test_retry(3));
-    let exec = AdaptiveExec::new(4);
-    let (out, _, report) = exec
-        .execute(Arc::clone(&phys), Arc::new(NoopMonitor), opts)
-        .unwrap();
-    assert!(report.adapted, "plan must split for checkpoint recovery");
-    assert_eq!(
-        canonical(&out.rows),
-        expected,
-        "recovered adaptive run diverged"
-    );
-    assert!(out.metrics.recovered);
-    assert_eq!(
-        report.stage1_attempts, 1,
-        "stage 1 must run exactly once: {:?}",
-        report.decisions
-    );
-    assert_eq!(
-        report.stage2_attempts, 2,
-        "stage 2 must retry from the checkpoint: {:?}",
-        report.decisions
-    );
-    assert!(
-        report
-            .decisions
-            .iter()
-            .any(|d| d.contains("__stage1 checkpoint")),
-        "decision trace must record the checkpoint recovery: {:?}",
-        report.decisions
-    );
-    assert_eq!(
-        out.metrics.attempts, 2,
-        "deepest stage retry depth surfaces"
-    );
 }

@@ -2,16 +2,23 @@
 //! every dop in {1, 2, 4, 8}, under every AIP strategy, must produce the
 //! serial oracle's row multiset — including the multi-class join chains
 //! (TPC-H 5/9 shapes) that previously collapsed to the serial fallback and
-//! now repartition through shuffle meshes.
+//! now repartition through shuffle meshes — plus a correlated-skew
+//! workload whose filtered stream no base-table statistic predicts, which
+//! pins the in-flight stage-boundary feedback each shuffle mesh hands the
+//! monitor.
 
+use sip_common::{DataType, Field, Row, Schema, SpaceSaving, Value};
 use sip_core::{run_query_dop, AipConfig, Strategy};
-use sip_data::{generate, TpchConfig};
+use sip_data::{generate, Catalog, Table, TpchConfig};
 use sip_engine::{
-    canonical, execute_ctx, execute_oracle, ExecContext, ExecOptions, NoopMonitor, PhysKind,
+    canonical, execute_ctx, execute_oracle, lower, ExecContext, ExecMonitor, ExecOptions,
+    NoopMonitor, PhysKind, PhysPlan, StageFeedback,
 };
-use sip_parallel::{partition_plan, partition_plan_cfg, PartitionConfig};
+use sip_expr::Expr;
+use sip_parallel::{partition_plan, partition_plan_cfg, PartitionConfig, PartitionedExec};
+use sip_plan::{PredicateIndex, QueryBuilder};
 use sip_queries::{all_queries, build_query};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const DOPS: [u32; 4] = [1, 2, 4, 8];
 
@@ -271,4 +278,176 @@ fn shuffle_kernels_are_batch_size_independent() {
             );
         }
     }
+}
+
+const FACT_ROWS: usize = 3000;
+const HOT_FB: i64 = 7;
+const FA_KEYS: i64 = 120;
+const FB_KEYS: i64 = 90;
+
+/// fact(fa, fb, flag, v): `fa` uniform; rows with `flag = 1` (30%) carry
+/// `fb = HOT_FB`, the rest spread `fb` uniformly. Per-column stats see a
+/// modest 30% top key on `fb`; the *conditional* concentration (100% of
+/// the filtered stream) shows only in the rows that cross a mesh.
+fn correlated_catalog() -> Catalog {
+    let int = |n: &str| Field::new(n, DataType::Int);
+    let mut facts = Vec::with_capacity(FACT_ROWS);
+    for i in 0..FACT_ROWS as i64 {
+        let flagged = i % 10 < 3;
+        facts.push(Row::new(vec![
+            Value::Int(i % FA_KEYS + 1),
+            Value::Int(if flagged { HOT_FB } else { i % FB_KEYS + 1 }),
+            Value::Int(i64::from(flagged)),
+            Value::Int(i),
+        ]));
+    }
+    let dim = |name: &str, col: &str, keys: i64| {
+        Table::new(
+            name,
+            Schema::new(vec![Field::new(col, DataType::Int)]),
+            vec![],
+            vec![],
+            (1..=keys).map(|k| Row::new(vec![Value::Int(k)])).collect(),
+        )
+        .unwrap()
+    };
+    let mut c = Catalog::new();
+    c.add(
+        Table::new(
+            "fact",
+            Schema::new(vec![int("fa"), int("fb"), int("flag"), int("v")]),
+            vec![],
+            vec![],
+            facts,
+        )
+        .unwrap(),
+    );
+    c.add(dim("dim1", "da", FA_KEYS));
+    c.add(dim("dim2", "db", FB_KEYS));
+    c
+}
+
+/// σ(flag=1)(fact) ⋈ dim1 on fa, then ⋈ dim2 on fb: two stacked stateful
+/// operators on different key classes, so at dop > 1 the second join's
+/// stream crosses a shuffle mesh.
+fn two_stage_spec(c: &Catalog) -> (sip_plan::LogicalPlan, sip_plan::AttrCatalog) {
+    let mut q = QueryBuilder::new(c);
+    let f = q.scan("fact", "f", &["fa", "fb", "flag", "v"]).unwrap();
+    let pred = f.col("flag").unwrap().eq(Expr::lit(1i64));
+    let f = q.filter(f, pred);
+    let d1 = q.scan("dim1", "d1", &["da"]).unwrap();
+    let j1 = q.join(f, d1, &[("f.fa", "d1.da")]).unwrap();
+    let d2 = q.scan("dim2", "d2", &["db"]).unwrap();
+    let j2 = q.join(j1, d2, &[("f.fb", "d2.db")]).unwrap();
+    (j2.into_plan(), q.into_attrs())
+}
+
+fn physical(c: &Catalog) -> (Arc<PhysPlan>, sip_plan::EqClasses) {
+    let (plan, attrs) = two_stage_spec(c);
+    let eq = PredicateIndex::build(&plan).eq;
+    (Arc::new(lower(&plan, attrs, c).unwrap()), eq)
+}
+
+/// The correlated-skew plan at dop {1, 2, 4} under no controller and
+/// under the cost-based one (whose per-mesh UPDATEESTIMATES runs while
+/// rows flow) must produce the serial oracle's multiset.
+#[test]
+fn correlated_skew_matches_oracle_with_and_without_cost_based() {
+    let c = correlated_catalog();
+    let (phys, eq) = physical(&c);
+    let expected = canonical(&execute_oracle(&phys).unwrap());
+    assert!(!expected.is_empty(), "workload produced no rows");
+    for dop in [1u32, 2, 4] {
+        let cb = sip_core::CostBased::new(
+            eq.clone(),
+            AipConfig::hash_sets(),
+            sip_optimizer::CostModel::default(),
+        );
+        let monitors: [(&str, Arc<dyn ExecMonitor>); 2] =
+            [("noop", Arc::new(NoopMonitor)), ("cost-based", cb)];
+        for (name, monitor) in monitors {
+            let (out, _) = PartitionedExec::new(dop)
+                .execute(Arc::clone(&phys), monitor, ExecOptions::default())
+                .unwrap();
+            assert_eq!(canonical(&out.rows), expected, "{name} dop {dop}");
+        }
+    }
+}
+
+/// One stage-boundary snapshot: (op, dop, rows, sketch, decision count).
+type BoundarySnapshot = (u32, u32, u64, Option<SpaceSaving>, usize);
+
+/// Captures every stage-boundary snapshot the engine hands out.
+#[derive(Default)]
+struct BoundaryProbe {
+    seen: Mutex<Vec<BoundarySnapshot>>,
+}
+
+impl ExecMonitor for BoundaryProbe {
+    fn on_stage_boundary(&self, _ctx: &Arc<ExecContext>, fb: &StageFeedback) {
+        self.seen.lock().unwrap().push((
+            fb.mesh,
+            fb.writers,
+            fb.rows_total(),
+            fb.sketch.clone(),
+            fb.op_rows.len(),
+        ));
+    }
+}
+
+#[test]
+fn stage_boundary_fires_once_per_mesh_with_merged_sketch() {
+    let c = correlated_catalog();
+    let (phys, eq) = physical(&c);
+    let dop = 4u32;
+    let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default()).unwrap();
+    let n_ops = expanded.nodes.len();
+    let meshes: std::collections::BTreeSet<u32> = expanded
+        .nodes
+        .iter()
+        .filter_map(|n| match n.kind {
+            PhysKind::ShuffleWrite { mesh, .. } => Some(mesh),
+            _ => None,
+        })
+        .collect();
+    assert!(!meshes.is_empty(), "plan has no shuffle mesh to observe");
+    let probe = Arc::new(BoundaryProbe::default());
+    let ctx = ExecContext::new_partitioned(expanded, ExecOptions::default(), map);
+    execute_ctx(ctx, Arc::clone(&probe) as Arc<dyn ExecMonitor>).unwrap();
+    let seen = probe.seen.lock().unwrap();
+    // Exactly one boundary per mesh (the last writer's countdown), each
+    // carrying the merged per-writer sketch and a snapshot of every
+    // operator of the expanded plan, not just the mesh's.
+    assert_eq!(
+        seen.iter()
+            .map(|s| s.0)
+            .collect::<std::collections::BTreeSet<_>>(),
+        meshes,
+        "each mesh reports exactly one boundary"
+    );
+    assert_eq!(seen.len(), meshes.len());
+    for (mesh, writers, rows, sketch, ops) in seen.iter() {
+        assert!(*writers >= 1, "mesh {mesh}");
+        let sketch = sketch.as_ref().expect("boundary sketch present");
+        assert!(sketch.total() > 0, "mesh {mesh}: empty merged sketch");
+        assert!(*rows > 0, "mesh {mesh}: no rows routed");
+        assert_eq!(*ops, n_ops, "mesh {mesh}: partial op snapshot");
+    }
+
+    // The cost-based controller consumes the same feedback: its decision
+    // log must carry one UPDATEESTIMATES line per mesh.
+    let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default()).unwrap();
+    let cb = sip_core::CostBased::new(
+        eq,
+        AipConfig::hash_sets(),
+        sip_optimizer::CostModel::default(),
+    );
+    let ctx = ExecContext::new_partitioned(expanded, ExecOptions::default(), map);
+    execute_ctx(ctx, Arc::clone(&cb) as Arc<dyn ExecMonitor>).unwrap();
+    let stage_lines = cb
+        .decisions()
+        .into_iter()
+        .filter(|l| l.starts_with("stage mesh"))
+        .count();
+    assert_eq!(stage_lines, meshes.len(), "{:?}", cb.decisions());
 }
