@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Figures: table1, fig1, fig2, fig5..fig14 (time/space pairs run
-//! together), overhead, scaling, skew, kernels, admit, columnar,
+//! together), overhead, scaling, kernels, admit, columnar,
 //! recovery, ablation-sets, ablation-fpr, ablation-minmax, profile, all.
 //! An unknown name prints the usage and exits non-zero.
 //!
@@ -15,8 +15,7 @@
 //! missing), so the perf trajectory can be tracked across PRs.
 //!
 //! `--profile <dir>` runs the span-traced query profiles (Q4A at dop
-//! 1/2/4 plus the salted-shuffle exemplar), prints their EXPLAIN ANALYZE
-//! trees, and writes one schema-checked `PROFILE_<run>.json`
+//! 1/2/4), prints their EXPLAIN ANALYZE trees, and writes one schema-checked `PROFILE_<run>.json`
 //! [`sip_engine::QueryProfile`] artifact per run into `<dir>`.
 
 use sip_bench::figures::{FigureReport, Harness};
@@ -31,12 +30,12 @@ struct Args {
     profile_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line (`argv` without the program name).
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut figure = "all".to_string();
     let mut config = ExperimentConfig::default();
     let mut json_dir = None;
     let mut profile_dir = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let take = |i: &mut usize| -> Result<String, String> {
@@ -78,11 +77,6 @@ fn parse_args() -> Result<Args, String> {
                 config.dop = take(&mut i)?
                     .parse()
                     .map_err(|e| format!("bad --dop: {e}"))?
-            }
-            "--merge-fanin" => {
-                config.merge_fanin = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --merge-fanin: {e}"))?
             }
             "--timeout-ms" => {
                 config.timeout_ms = Some(
@@ -186,7 +180,8 @@ fn run_figures(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -246,9 +241,6 @@ fn main() -> ExitCode {
     run_figures(&sel, "scaling", json, cfg, &mut failed, || {
         harness.scaling().map(|r| vec![r])
     });
-    run_figures(&sel, "skew", json, cfg, &mut failed, || {
-        harness.skew().map(|r| vec![r])
-    });
     run_figures(&sel, "kernels", json, cfg, &mut failed, || {
         harness.kernels().map(|r| vec![r])
     });
@@ -273,9 +265,8 @@ fn main() -> ExitCode {
 
     // The profile section is opt-in via `--profile DIR` (or `--figure
     // profile` for the text trees alone): span-level tracing over Q4A at
-    // dop 1/2/4 plus the salted-shuffle exemplar, each run serialized as a
-    // PROFILE_<run>.json QueryProfile artifact next to its EXPLAIN ANALYZE
-    // tree.
+    // dop 1/2/4, each run serialized as a PROFILE_<run>.json QueryProfile
+    // artifact next to its EXPLAIN ANALYZE tree.
     if args.profile_dir.is_some() || sel.fig == "profile" {
         eprintln!("# running profile ...");
         match harness.profile() {
@@ -322,7 +313,6 @@ const FIGURES: &[&str] = &[
     "fig13",
     "overhead",
     "scaling",
-    "skew",
     "kernels",
     "admit",
     "columnar",
@@ -345,7 +335,7 @@ fn is_known_figure(name: &str) -> bool {
 fn usage() -> String {
     format!(
         "usage: repro [--figure {}] [--sf F] [--repeats N] [--seed S] \
-[--batch-size N] [--channel-capacity N] [--dop N] [--merge-fanin N] \
+[--batch-size N] [--channel-capacity N] [--dop N] \
 [--timeout-ms N] [--retries N] [--json DIR] [--profile DIR]
 
   --figure NAME         one section or figure (default all); fig7, fig8,
@@ -355,10 +345,8 @@ fn usage() -> String {
   --channel-capacity N  bounded-channel backpressure window, in batches
                         (default 16)
   --dop N               max degree of partition parallelism swept by the
-                        `scaling` and `skew` benchmarks (powers of two up
-                        to N; default 4, 1 = serial only)
-  --merge-fanin N       merge-tree fan-in for parallel runs (0 = auto:
-                        flat up to dop 4, binary tree above)
+                        `scaling` benchmark (powers of two up to N;
+                        default 4, 1 = serial only)
   --timeout-ms N        per-query deadline in milliseconds; a run past it
                         fails with `deadline exceeded` plus per-phase
                         time shares (default: no deadline; 0 is rejected)
@@ -367,8 +355,8 @@ fn usage() -> String {
   --json DIR            also write BENCH_<figure>.json per measured
                         figure into DIR (created if missing)
   --profile DIR         run the span-traced query profiles (Q4A at dop
-                        1/2/4 plus the salted-shuffle exemplar), print
-                        their EXPLAIN ANALYZE trees, and write one
+                        1/2/4), print their EXPLAIN ANALYZE trees, and
+                        write one
                         schema-checked PROFILE_<run>.json per run into
                         DIR (created if missing)",
         FIGURES.join("|")
@@ -403,5 +391,20 @@ mod tests {
             assert!(!is_known_figure(name), "{name}");
         }
         assert!(usage().contains(&FIGURES.join("|")));
+    }
+
+    /// The salting figure and its fan-in flag are gone: asking for either
+    /// is a parse error, which `main` turns into exit status 1.
+    #[test]
+    fn skew_figure_and_fanin_flag_are_rejected() {
+        let parse = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_args(&argv).map(|_| ())
+        };
+        let err = parse(&["--figure", "skew"]).unwrap_err();
+        assert!(err.starts_with("unknown figure skew"), "{err}");
+        let err = parse(&["--merge-fanin", "2"]).unwrap_err();
+        assert!(err.starts_with("unknown argument --merge-fanin"), "{err}");
+        assert!(parse(&["--figure", "scaling", "--dop", "2"]).is_ok());
     }
 }

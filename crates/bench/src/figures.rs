@@ -63,15 +63,13 @@ impl FigureReport {
         let _ = writeln!(
             out,
             "  \"config\": {{\"scale_factor\": {}, \"seed\": {}, \"repeats\": {}, \
-\"batch_size\": {}, \"channel_capacity\": {}, \"dop\": {}, \"merge_fanin\": {}, \
-\"retries\": {}}},",
+\"batch_size\": {}, \"channel_capacity\": {}, \"dop\": {}, \"retries\": {}}},",
             config.scale_factor,
             config.seed,
             config.repeats,
             config.batch_size,
             config.channel_capacity,
             config.dop,
-            config.merge_fanin,
             config.retries
         );
         out.push_str("  \"phase_names\": [");
@@ -1459,236 +1457,6 @@ counts must match between layouts or the figure errors."
         })
     }
 
-    /// Skew-adaptive shuffle figure: a Zipf-keyed join over a slow
-    /// (delay-modeled) fact source, swept over `zipf_z ∈ {0, 0.5, 1.0,
-    /// 1.5}` × dop × salting on/off.
-    ///
-    /// The fact table's only join key is the Zipf-hot column, so the
-    /// unsalted plan hash-splits the *scans* on it — the partition owning
-    /// the hot key ships (and sleeps through) the hot key's share of the
-    /// delayed source, then its reader eats the same share of the join.
-    /// With salting on, the planner detects the heavy hitter from the
-    /// base-table stats, splits the fact scans by rowid (balanced
-    /// shipping), scatters hot probe rows round-robin and broadcasts the
-    /// matching dimension rows. Salting auto-fires only where the skew
-    /// model says it pays: the `zipf_z ≤ 1.0` cells plan identically with
-    /// salting on or off (the adaptivity check), while `zipf_z = 1.5`
-    /// must show the salted plan ≥ 1.5× the unsalted one at dop 4.
-    pub fn skew(&self) -> Result<FigureReport> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use sip_common::{DataType, Field, FxHashMap, Row, Schema, Value};
-        use sip_data::{Table, Zipf};
-        use sip_engine::NoopMonitor;
-        use sip_parallel::{PartitionConfig, PartitionedExec, SaltConfig};
-        use sip_plan::QueryBuilder;
-
-        const KEYS: u64 = 64;
-        let n_rows = ((2_000_000.0 * self.config.scale_factor) as usize).max(2_000);
-        // Transmission-dominated source: the delay models what a slow
-        // (remote) fact feed costs per shipped row, the axis the paper's
-        // delayed experiments use.
-        let fact_delay = DelayModel {
-            initial: std::time::Duration::from_millis(50),
-            every_n: 250,
-            pause: std::time::Duration::from_millis(2),
-        };
-        let mut dops = vec![1u32];
-        let mut d = 2;
-        while d <= self.config.dop.max(1) {
-            dops.push(d);
-            d *= 2;
-        }
-        let mut rows_out: Vec<ReportRow> = Vec::new();
-        let mut notes: Vec<String> = Vec::new();
-        let mut hot_ratio_at_4: Option<f64> = None;
-
-        for &z in &[0.0f64, 0.5, 1.0, 1.5] {
-            // fact(fb, pay) with fb ~ Zipf(z); dim(hb) covers the domain.
-            let zipf = Zipf::new(KEYS, z);
-            let mut rng = StdRng::seed_from_u64(self.config.seed ^ z.to_bits());
-            let int = |n: &str| Field::new(n, DataType::Int);
-            let facts: Vec<Row> = (0..n_rows)
-                .map(|i| {
-                    Row::new(vec![
-                        Value::Int(zipf.sample(&mut rng) as i64),
-                        Value::Int(i as i64),
-                    ])
-                })
-                .collect();
-            let mut catalog = sip_data::Catalog::new();
-            catalog.add(
-                Table::new(
-                    "fact",
-                    Schema::new(vec![int("fb"), int("pay")]),
-                    vec![],
-                    vec![],
-                    facts,
-                )
-                .unwrap(),
-            );
-            catalog.add(
-                Table::new(
-                    "dim",
-                    Schema::new(vec![int("hb")]),
-                    vec![],
-                    vec![],
-                    (1..=KEYS as i64)
-                        .map(|k| Row::new(vec![Value::Int(k)]))
-                        .collect(),
-                )
-                .unwrap(),
-            );
-            let mut q = QueryBuilder::new(&catalog);
-            let f = q.scan("fact", "f", &["fb", "pay"]).unwrap();
-            let h = q.scan("dim", "h", &["hb"]).unwrap();
-            let j = q.join(f, h, &[("f.fb", "h.hb")]).unwrap();
-            let phys =
-                Arc::new(sip_engine::lower(&j.into_plan(), q.into_attrs(), &catalog).unwrap());
-
-            let mut base_secs: FxHashMap<u32, f64> = Default::default();
-            for &dop in &dops {
-                for salt_on in [false, true] {
-                    if dop == 1 && salt_on {
-                        continue; // serial baseline has no routing to salt
-                    }
-                    let cfg = PartitionConfig {
-                        salt: SaltConfig {
-                            enabled: salt_on,
-                            ..SaltConfig::default()
-                        },
-                        ..PartitionConfig::default()
-                    };
-                    let exec = PartitionedExec::with_config(dop.max(1), cfg);
-                    // The expansion is deterministic: inspect it once,
-                    // outside the timing loop (the plan pass includes the
-                    // heavy-hitter stats lookup). The balance metric reads
-                    // the *probe mesh*'s readers — a plain hash mesh when
-                    // unsalted, the scatter mesh when salted — so broadcast
-                    // traffic (uniform by construction) cannot dilute it.
-                    let mut salted_meshes = 0usize;
-                    let mut probe_readers: Vec<sip_common::OpId> = Vec::new();
-                    if dop > 1 {
-                        let (expanded, _) = exec
-                            .plan(&phys)
-                            .map_err(|e| sip_common::SipError::Exec(format!("plan failed: {e}")))?;
-                        salted_meshes = expanded
-                            .nodes
-                            .iter()
-                            .filter(|n| {
-                                matches!(
-                                    n.kind,
-                                    sip_engine::PhysKind::ShuffleWrite { salt: Some(_), .. }
-                                )
-                            })
-                            .count();
-                        let probe_mesh = expanded.nodes.iter().find_map(|n| match &n.kind {
-                            sip_engine::PhysKind::ShuffleWrite { mesh, salt, .. }
-                                if salt
-                                    .as_ref()
-                                    .is_none_or(|s| s.role == sip_engine::SaltRole::Scatter) =>
-                            {
-                                Some(*mesh)
-                            }
-                            _ => None,
-                        });
-                        if let Some(pm) = probe_mesh {
-                            probe_readers = expanded
-                                .nodes
-                                .iter()
-                                .filter_map(|n| match &n.kind {
-                                    sip_engine::PhysKind::ShuffleRead { mesh, .. }
-                                        if *mesh == pm =>
-                                    {
-                                        Some(n.id)
-                                    }
-                                    _ => None,
-                                })
-                                .collect();
-                        }
-                    }
-                    let mut secs = Vec::with_capacity(self.config.repeats);
-                    let mut balances = Vec::new();
-                    for _ in 0..self.config.repeats.max(1) {
-                        let mut opts = self.config.exec_options()?;
-                        opts = opts.with_delay("fact", fact_delay.clone());
-                        let (out, _map) =
-                            exec.execute(Arc::clone(&phys), Arc::new(NoopMonitor), opts)?;
-                        secs.push(out.metrics.wall_time.as_secs_f64());
-                        let reads: Vec<u64> = probe_readers
-                            .iter()
-                            .map(|&r| out.metrics.per_op[r.index()].rows_out)
-                            .collect();
-                        let total: u64 = reads.iter().sum();
-                        if total > 0 {
-                            let max = *reads.iter().max().unwrap() as f64;
-                            balances.push(max / (total as f64 / reads.len() as f64));
-                        }
-                    }
-                    // No mesh at all (co-located plan or serial run) is
-                    // "n/a", not a perfectly balanced 0.00.
-                    let balance = if balances.is_empty() {
-                        "n/a".to_string()
-                    } else {
-                        format!("{:.2}", mean(&balances))
-                    };
-                    let mean_secs = mean(&secs);
-                    let throughput = n_rows as f64 / mean_secs / 1e6;
-                    let speedup = if dop == 1 {
-                        String::new()
-                    } else if !salt_on {
-                        base_secs.insert(dop, mean_secs);
-                        String::new()
-                    } else {
-                        let ratio = base_secs.get(&dop).map(|b| b / mean_secs).unwrap_or(1.0);
-                        if z >= 1.5 && dop == 4 {
-                            hot_ratio_at_4 = Some(ratio);
-                        }
-                        format!(", {ratio:.2}x vs salt-off")
-                    };
-                    let strategy = if dop == 1 {
-                        "serial".to_string()
-                    } else {
-                        format!("dop={dop} salt={}", if salt_on { "on" } else { "off" })
-                    };
-                    rows_out.push(ReportRow {
-                        query: format!("zipf={z}"),
-                        strategy,
-                        secs: mean_secs,
-                        ci: ci95(&secs),
-                        state_mb: 0.0,
-                        rows: n_rows as u64,
-                        extra: format!(
-                            "{throughput:.2} Mrows/s, {salted_meshes} salted writers, \
-max/mean routed {balance}{speedup}"
-                        ),
-                        ..Default::default()
-                    });
-                }
-            }
-        }
-        if let Some(r) = hot_ratio_at_4 {
-            notes.push(format!(
-                "zipf=1.5 dop=4: salting-on is {r:.2}x salting-off (acceptance bar 1.5x at \
-full scale; small --sf runs are latency-floor-bound)."
-            ));
-        }
-        notes.push(
-            "Salting auto-fires from base-table heavy-hitter stats; zipf <= 1.0 cells plan \
-identically with salting on or off (0 salted writers)."
-                .into(),
-        );
-        Ok(FigureReport {
-            id: "skew".into(),
-            title: format!(
-                "skew-adaptive shuffle: Zipf fact ({n_rows} rows, {KEYS} keys, delayed source) \
-x dop x salting"
-            ),
-            rows: rows_out,
-            notes,
-        })
-    }
-
     /// `repro --profile <dir>`: schema-checked [`QueryProfile`] artifacts
     /// plus the matching EXPLAIN ANALYZE trees, both rendered from the
     /// same frozen profile so they cannot disagree.
@@ -1698,9 +1466,10 @@ x dop x salting"
     /// * Q4A (the TPC-H Q5 family's many-way join) under feed-forward AIP
     ///   at dop 1 / 2 / 4 — the per-op phase breakdown across the serial
     ///   and partition-parallel executors;
-    /// * the `skew` figure's Zipf-hot join with salting forced on at the
-    ///   top dop — the salted-shuffle exemplar (scatter/broadcast meshes,
-    ///   routing histograms, AIP filter lifecycle events).
+    /// * a Zipf(1.5)-keyed fact ⋈ dimension join at the top dop — the
+    ///   skewed-routing exemplar: hash routing puts the hot key on one
+    ///   reader, and the profile's routing histograms and `skew` block
+    ///   show it.
     ///
     /// Returns the rendered text and one `(file name, JSON)` pair per
     /// profile (`PROFILE_*.json`).
@@ -1751,14 +1520,14 @@ x dop x salting"
             artifacts.push((format!("PROFILE_q4a_dop{dop}.json"), profile.to_json()));
         }
 
-        // --- Salted-shuffle exemplar: the skew figure's zipf=1.5 join ---
+        // --- Skewed-routing exemplar: a zipf=1.5 join, hash-routed ---
         {
             use rand::rngs::StdRng;
             use rand::SeedableRng;
             use sip_common::{DataType, Field, Row, Schema, Value};
             use sip_data::{Table, Zipf};
             use sip_engine::NoopMonitor;
-            use sip_parallel::{PartitionConfig, PartitionedExec, SaltConfig};
+            use sip_parallel::PartitionedExec;
 
             const KEYS: u64 = 64;
             let n_rows = ((2_000_000.0 * self.config.scale_factor) as usize).max(2_000);
@@ -1794,37 +1563,30 @@ x dop x salting"
             let f = q.scan("fact", "f", &["fb", "pay"])?;
             let h = q.scan("dim", "h", &["hb"])?;
             let j = q.join(f, h, &[("f.fb", "h.hb")])?;
-            let salted = Arc::new(sip_engine::lower(&j.into_plan(), q.into_attrs(), &catalog)?);
+            let zipf_join = Arc::new(sip_engine::lower(&j.into_plan(), q.into_attrs(), &catalog)?);
             let dop = self.config.dop.max(2);
-            let cfg = PartitionConfig {
-                salt: SaltConfig {
-                    enabled: true,
-                    ..SaltConfig::default()
-                },
-                ..PartitionConfig::default()
-            };
-            let exec = PartitionedExec::with_config(dop, cfg);
-            let expanded = match exec.plan(&salted) {
+            let exec = PartitionedExec::new(dop);
+            let expanded = match exec.plan(&zipf_join) {
                 Ok((expanded, _)) => expanded,
                 Err(e) => {
                     return Err(sip_common::SipError::Exec(format!(
-                        "salted profile plan failed: {e}"
+                        "zipf profile plan failed: {e}"
                     )))
                 }
             };
             let opts = self.config.exec_options()?.with_trace(TraceLevel::Spans);
-            let (out, map) = exec.execute(Arc::clone(&salted), Arc::new(NoopMonitor), opts)?;
+            let (out, map) = exec.execute(Arc::clone(&zipf_join), Arc::new(NoopMonitor), opts)?;
             let profile = QueryProfile::from_run(&expanded, &out.metrics, map.as_deref());
             let _ = writeln!(
                 text,
-                "## salted zipf=1.5 join, dop={dop} ({n_rows} rows, {KEYS} keys)\n"
+                "## zipf=1.5 join, dop={dop} ({n_rows} rows, {KEYS} keys)\n"
             );
             text.push_str(&explain_analyze_profiled(
                 &expanded,
                 &out.metrics,
                 map.as_deref(),
             ));
-            artifacts.push((format!("PROFILE_salted_dop{dop}.json"), profile.to_json()));
+            artifacts.push((format!("PROFILE_zipf_dop{dop}.json"), profile.to_json()));
         }
 
         Ok((text, artifacts))
@@ -2042,7 +1804,7 @@ mod tests {
             "\"figure\": \"admit\"",
             "\"title\": \"quote \\\" and\\nnewline\"",
             "\"scale_factor\": 0.05",
-            "\"merge_fanin\": 0",
+            "\"retries\": 0",
             "\"query\": \"admit-build\"",
             "\"strategy\": \"batch\"",
             "\"secs\": 0.250000",

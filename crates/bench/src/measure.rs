@@ -23,9 +23,6 @@ pub struct ExperimentConfig {
     /// Maximum degree of parallelism swept by the `scaling` benchmark
     /// (`--dop` on the repro CLI); 1 disables partition parallelism.
     pub dop: u32,
-    /// Merge-tree fan-in for partition-parallel runs (`--merge-fanin`);
-    /// 0 = auto (flat up to dop 4, binary tree above).
-    pub merge_fanin: usize,
     /// Per-query deadline in milliseconds (`--timeout-ms`); `None` = no
     /// deadline. A run past the deadline fails with `deadline exceeded`
     /// plus its per-phase time shares.
@@ -44,7 +41,6 @@ impl Default for ExperimentConfig {
             batch_size: 1024,
             channel_capacity: 16,
             dop: 4,
-            merge_fanin: 0,
             timeout_ms: None,
             retries: 0,
         }
@@ -57,7 +53,6 @@ impl ExperimentConfig {
     pub fn exec_options(&self) -> Result<ExecOptions> {
         let mut opts = ExecOptions::validated(self.batch_size, self.channel_capacity)?;
         opts.collect_rows = false;
-        opts.merge_fanin = self.merge_fanin;
         if let Some(ms) = self.timeout_ms {
             opts = opts.with_deadline(std::time::Duration::from_millis(ms));
         }

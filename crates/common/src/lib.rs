@@ -23,7 +23,6 @@ pub mod kernel;
 pub mod retry;
 pub mod row;
 pub mod schema;
-pub mod sketch;
 pub mod trace;
 pub mod value;
 
@@ -37,7 +36,6 @@ pub use kernel::{DigestBuffer, DigestCache, SelVec};
 pub use retry::{RetryPolicy, RetryState};
 pub use row::{Batch, Row};
 pub use schema::{DataType, Field, Schema};
-pub use sketch::{SketchEntry, SpaceSaving};
 pub use trace::{
     FilterEvent, FilterEventKind, OpTracer, Phase, SpanEvent, ThreadTrace, TraceHub, TraceLevel,
     TraceSnapshot, N_PHASES,

@@ -125,7 +125,7 @@ pub struct SpanEvent {
 pub enum FilterEventKind {
     /// A working set was sealed into a filter (build cost attached).
     Built,
-    /// A filter was published under a partition scope (salted routing).
+    /// A filter was published under a partition scope.
     Scoped,
     /// Per-partition filters were OR-merged into a plan-wide union.
     OrMerged,
@@ -190,13 +190,6 @@ pub struct ThreadTrace {
     pub events_dropped: u64,
     /// For routing operators: rows sent per destination partition.
     pub routed: Vec<u64>,
-    /// Heavy-hitter keys the routing sketch observed.
-    pub hot_keys: u64,
-    /// The routing sketch itself (shuffle writers only): the per-writer
-    /// frequency summary a stage-boundary controller merges across the
-    /// mesh to compare *observed* key frequencies against the base-table
-    /// statistics the plan was frozen from.
-    pub sketch: Option<crate::sketch::SpaceSaving>,
     /// Sum of sampled downstream-channel queue lengths (one sample per
     /// batch send while tracing) — `sum / samples` is the mean occupancy
     /// gauge; high mean occupancy on a mesh writer means its reader is the
@@ -374,24 +367,16 @@ impl OpTracer {
         self.trace.nested_nanos += t_end.saturating_sub(t_start);
     }
 
-    /// Merge per-destination routing counts and sketch-observed heavy
-    /// hitters (recorded even with tracing off — this path replaces the
-    /// old hot-path `Mutex` merge in `OpMetrics::record_routing`).
-    pub fn set_routed(&mut self, routed: &[u64], hot_keys: u64) {
+    /// Merge per-destination routing counts (recorded even with tracing
+    /// off — this path replaces the old hot-path `Mutex` merge in
+    /// `OpMetrics::record_routing`).
+    pub fn set_routed(&mut self, routed: &[u64]) {
         if self.trace.routed.len() < routed.len() {
             self.trace.routed.resize(routed.len(), 0);
         }
         for (slot, n) in self.trace.routed.iter_mut().zip(routed.iter()) {
             *slot += n;
         }
-        self.trace.hot_keys += hot_keys;
-    }
-
-    /// Attach the routing sketch (recorded even with tracing off, like
-    /// routing counts — stage-boundary feedback must not require a trace
-    /// level). Replaces any previously attached sketch.
-    pub fn set_sketch(&mut self, sketch: crate::sketch::SpaceSaving) {
-        self.trace.sketch = Some(sketch);
     }
 
     /// Sample a downstream channel's queue length (call once per send
@@ -410,11 +395,8 @@ impl OpTracer {
     /// (timing, events, or routing counts), so routing metrics flow even
     /// at [`TraceLevel::Off`].
     pub fn flush(self) {
-        let has_data = self.enabled
-            || !self.trace.routed.is_empty()
-            || self.trace.hot_keys > 0
-            || self.trace.sketch.is_some()
-            || !self.trace.events.is_empty();
+        let has_data =
+            self.enabled || !self.trace.routed.is_empty() || !self.trace.events.is_empty();
         if has_data {
             self.hub.sink.lock().unwrap().push(self.trace);
         }
@@ -432,7 +414,7 @@ mod tests {
         let s = t.begin();
         assert_eq!(s, 0);
         t.end(Phase::Compute, s);
-        t.set_routed(&[4, 0, 2], 1);
+        t.set_routed(&[4, 0, 2]);
         t.flush();
         let snap = hub.drain();
         assert_eq!(snap.threads.len(), 1);
@@ -440,7 +422,6 @@ mod tests {
         assert_eq!(tt.phase_nanos, [0; N_PHASES]);
         assert_eq!(tt.phase_counts, [0; N_PHASES]);
         assert_eq!(tt.routed, vec![4, 0, 2]);
-        assert_eq!(tt.hot_keys, 1);
         assert!(snap.events.is_empty());
     }
 
@@ -505,7 +486,7 @@ mod tests {
                 let mut t = hub.tracer(op, part);
                 let s = t.begin();
                 t.end(Phase::Compute, s);
-                t.set_routed(&[op as u64], 0);
+                t.set_routed(&[op as u64]);
                 tracers.push(t);
             }
             if reverse {
@@ -527,12 +508,11 @@ mod tests {
     fn routed_merge_grows_and_sums() {
         let hub = TraceHub::new(TraceLevel::Off);
         let mut t = hub.tracer(0, None);
-        t.set_routed(&[5, 0, 7], 1);
-        t.set_routed(&[1, 2, 3, 4], 2);
+        t.set_routed(&[5, 0, 7]);
+        t.set_routed(&[1, 2, 3, 4]);
         t.flush();
         let snap = hub.drain();
         assert_eq!(snap.threads[0].routed, vec![6, 2, 10, 4]);
-        assert_eq!(snap.threads[0].hot_keys, 3);
     }
 
     #[test]

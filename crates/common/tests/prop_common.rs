@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sip_common::bytes::StateTracker;
-use sip_common::{hash_key, Date, FxHashMap, Row, SpaceSaving, Value};
+use sip_common::{hash_key, Date, Row, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -70,73 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn sketch_merge_is_commutative(
-        xs in prop::collection::vec(0u64..40, 0..400),
-        ys in prop::collection::vec(0u64..40, 0..400),
-        cap in 1usize..24,
-    ) {
-        let mut a = SpaceSaving::new(cap);
-        let mut b = SpaceSaving::new(cap);
-        for &d in &xs {
-            a.offer(d);
-        }
-        for &d in &ys {
-            b.offer(d);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab.total(), ba.total());
-        prop_assert_eq!(ab.entries(), ba.entries());
-    }
-
-    #[test]
-    fn sketch_merge_never_reports_below_true_lower_bound(
-        stream in prop::collection::vec((0u64..60, 0u8..4), 1..600),
-        cap in 2usize..20,
-        order in prop::collection::vec(0usize..4, 4),
-    ) {
-        // Split one stream across 4 "writers", merge the per-writer
-        // sketches in an arbitrary order, and check the space-saving
-        // invariant survives: for every surviving candidate,
-        // count - err <= true count <= count — so `heavy_hitters` can
-        // never report a key whose guaranteed count exceeds its true one.
-        let mut truth: FxHashMap<u64, u64> = FxHashMap::default();
-        let mut writers: Vec<SpaceSaving> = (0..4).map(|_| SpaceSaving::new(cap)).collect();
-        for &(d, w) in &stream {
-            *truth.entry(d).or_default() += 1;
-            writers[w as usize].offer(d);
-        }
-        // Dedup while preserving the randomized merge order.
-        let mut seen = [false; 4];
-        let order: Vec<usize> = order
-            .iter()
-            .map(|&i| i % 4)
-            .filter(|&i| !std::mem::replace(&mut seen[i], true))
-            .collect();
-        let mut merged = SpaceSaving::new(cap);
-        for &w in &order {
-            merged.merge(&writers[w]);
-        }
-        let in_order: u64 = stream.iter().filter(|&&(_, w)| order.contains(&(w as usize))).count() as u64;
-        prop_assert_eq!(merged.total(), in_order);
-        for e in merged.entries() {
-            let t: u64 = stream
-                .iter()
-                .filter(|&&(d, w)| d == e.digest && order.contains(&(w as usize)))
-                .count() as u64;
-            prop_assert!(t <= e.count, "digest {} true {t} > count {}", e.digest, e.count);
-            prop_assert!(
-                e.count - e.err <= t,
-                "digest {} guaranteed {} > true {t}",
-                e.digest,
-                e.count - e.err
-            );
-        }
-    }
-
-    #[test]
     fn state_tracker_balanced_ops_return_to_zero(deltas in prop::collection::vec(1i64..10_000, 0..50)) {
         let t = StateTracker::new();
         for &d in &deltas {
@@ -148,49 +81,5 @@ proptest! {
             t.add(-d);
         }
         prop_assert_eq!(t.current(), 0);
-    }
-}
-
-/// The same stream rolled up through per-writer sketches at dop 2 and at
-/// dop 4 must agree on the heavy hitters: the report a stage-boundary
-/// controller acts on cannot depend on how many shuffle writers the plan
-/// happened to use.
-#[test]
-fn sketch_rollup_deterministic_across_dop() {
-    // Three hot keys at ~20% each plus a long cold tail, interleaved.
-    let mut stream: Vec<u64> = Vec::new();
-    for i in 0..6000u64 {
-        stream.push(1000 + i % 3); // hot: each ~2000 occurrences
-        stream.push(2000 + (i * 7) % 499); // cold tail
-    }
-    let n = stream.len() as u64;
-    let rollup = |dop: usize| -> Vec<(u64, u64)> {
-        let mut writers: Vec<SpaceSaving> = (0..dop).map(|_| SpaceSaving::new(32)).collect();
-        for (i, &d) in stream.iter().enumerate() {
-            writers[i % dop].offer(d);
-        }
-        let mut merged = writers[0].clone();
-        for w in &writers[1..] {
-            merged.merge(w);
-        }
-        assert_eq!(merged.total(), n);
-        merged
-            .heavy_hitters(n / 10)
-            .into_iter()
-            .map(|e| (e.digest, e.count))
-            .collect()
-    };
-    let d2 = rollup(2);
-    let d4 = rollup(4);
-    let keys = |v: &[(u64, u64)]| v.iter().map(|&(d, _)| d).collect::<Vec<_>>();
-    assert_eq!(keys(&d2), vec![1000, 1001, 1002], "{d2:?}");
-    assert_eq!(
-        keys(&d2),
-        keys(&d4),
-        "dop 2 vs 4 rollups disagree: {d2:?} vs {d4:?}"
-    );
-    // Estimates stay within the merge error envelope of the true counts.
-    for &(_, count) in d2.iter().chain(d4.iter()) {
-        assert!((2000..2300).contains(&count), "estimate {count} drifted");
     }
 }

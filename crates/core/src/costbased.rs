@@ -14,8 +14,8 @@ use crate::config::AipConfig;
 use crate::publish::Publisher;
 use crate::registry::AipRegistry;
 use parking_lot::Mutex;
-use sip_common::{FxHashMap, FxHashSet, OpId};
-use sip_engine::{CompletionEvent, ExecContext, ExecMonitor, PhysKind, StageFeedback, StateView};
+use sip_common::{FxHashSet, OpId};
+use sip_engine::{CompletionEvent, ExecContext, ExecMonitor, PhysKind, StateView};
 use sip_filter::{AipSetBuilder, AipSetKind, BloomFilter};
 use sip_optimizer::{CostModel, Estimator, RuntimeActual};
 use sip_plan::EqClasses;
@@ -40,12 +40,6 @@ pub struct CostBased {
     publish: Publisher,
     /// Decision log for explainability (one line per considered set).
     decisions: Mutex<Vec<String>>,
-    /// Observed row counts snapshotted at stage boundaries, keyed by raw
-    /// operator index. `UPDATEESTIMATES` folds these into every later
-    /// benefit estimate, so a downstream decision sees what the finished
-    /// stage actually produced even if the producing operator's own live
-    /// counter has since been left behind (e.g. its thread exited).
-    stage_actuals: Mutex<FxHashMap<u32, RuntimeActual>>,
     /// Counters.
     pub stats: CbStats,
 }
@@ -58,7 +52,6 @@ impl CostBased {
             cost,
             publish: Publisher::new("cb", eq),
             decisions: Mutex::new(Vec::new()),
-            stage_actuals: Mutex::new(FxHashMap::default()),
             stats: CbStats::default(),
         })
     }
@@ -73,21 +66,15 @@ impl CostBased {
         self.decisions.lock().clone()
     }
 
+    /// `UPDATEESTIMATES`' input: every operator's live row count and
+    /// finished bit.
     fn gather_actuals(&self, ctx: &ExecContext) -> Vec<RuntimeActual> {
-        let stage = self.stage_actuals.lock();
         ctx.hub
             .ops
             .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                // Stage-boundary snapshots only ever add information: a
-                // snapshot is a point-in-time floor on rows_out, and a
-                // finished bit recorded there stays true.
-                let s = stage.get(&(i as u32)).copied().unwrap_or_default();
-                RuntimeActual {
-                    rows_out: m.rows_out.load(Ordering::Relaxed).max(s.rows_out),
-                    finished: m.finished.load(Ordering::Relaxed) || s.finished,
-                }
+            .map(|m| RuntimeActual {
+                rows_out: m.rows_out.load(Ordering::Relaxed),
+                finished: m.finished.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -238,35 +225,6 @@ impl ExecMonitor for CostBased {
         // across attempts; the decision log deliberately persists — it is
         // the whole run's story, retries included.
         self.publish.start(ctx);
-        self.stage_actuals.lock().clear();
-    }
-
-    fn on_stage_boundary(&self, _ctx: &Arc<ExecContext>, fb: &StageFeedback) {
-        // UPDATEESTIMATES with *measured* cardinalities: every operator's
-        // live rows_out at the moment a shuffle stage finished becomes a
-        // floor for later estimates, and operators the boundary saw as
-        // finished stay pinned to their actuals. Downstream
-        // `estimate_benefit` calls (for joins that have not started
-        // probing yet) then price AIP sets against observed reality
-        // instead of plan-time guesses.
-        {
-            let mut stage = self.stage_actuals.lock();
-            for &(op, rows_out, finished) in &fb.op_rows {
-                let e = stage.entry(op.0).or_default();
-                e.rows_out = e.rows_out.max(rows_out);
-                e.finished |= finished;
-            }
-        }
-        self.decisions.lock().push(format!(
-            "stage mesh {}: {} writers done, {} rows routed (balance {:.2}, hot_share {:.2}, {} hot keys); estimates updated for {} ops",
-            fb.mesh,
-            fb.writers,
-            fb.rows_total(),
-            fb.balance(),
-            fb.hot_share(),
-            fb.hot_keys,
-            fb.op_rows.len()
-        ));
     }
 
     fn on_input_complete(&self, ctx: &Arc<ExecContext>, ev: &CompletionEvent<'_>) {

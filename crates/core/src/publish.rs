@@ -160,12 +160,6 @@ impl Publisher {
                 partition: p,
                 dop: m.dop,
             });
-            // A salted stream's class is claimed with its exemption set: a
-            // salted key's rows were scattered or replicated outside the
-            // hash invariant, so partition p's state does not cover them
-            // even when they hash home to p — the scoped filter passes
-            // them unprobed and leaves them to the union.
-            let salted = partition.and_then(|(m, _)| m.salted_at(state_stream));
             // A site whose own stream is partitioned on the probed attribute
             // and owned by partition q != p never carries an in-scope row.
             // Sites partitioned on a different class (the far side of a
@@ -179,13 +173,7 @@ impl Publisher {
             };
             for u in users.iter().filter(|u| !foreign(u)) {
                 let label = format!("{tag} @{}{part}", u.site);
-                let filter = InjectedFilter::scoped_salted(
-                    label,
-                    vec![u.pos],
-                    Arc::clone(&set),
-                    scope,
-                    salted.clone(),
-                );
+                let filter = InjectedFilter::scoped(label, vec![u.pos], Arc::clone(&set), scope);
                 ctx.inject_filter(u.site, filter, MergePolicy::Intersect);
             }
         }

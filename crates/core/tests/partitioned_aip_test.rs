@@ -14,6 +14,7 @@ use sip_optimizer::CostModel;
 use sip_parallel::PartitionedExec;
 use sip_plan::{PredicateIndex, QueryBuilder};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn skewed_catalog() -> Catalog {
     generate(&TpchConfig {
@@ -83,11 +84,19 @@ fn all_strategies_agree_with_oracle_across_dops() {
 fn partitioned_feed_forward_prunes_per_partition() {
     let c = skewed_catalog();
     let spec = partkey_query(&c);
+    // Hold both partsupp scans back until the filtered part side has
+    // completed, so the feed-forward filter lands before the probe-side
+    // rows flow instead of racing them. Every partition clone of a scan
+    // keeps its binding, so the delay applies to each clone.
+    let first_wait = DelayModel::initial_only(Duration::from_millis(25));
+    let opts = ExecOptions::default()
+        .with_delay("ps1", first_wait.clone())
+        .with_delay("ps2", first_wait);
     let (out, map) = run_query_dop(
         &spec,
         &c,
         Strategy::FeedForward,
-        ExecOptions::default(),
+        opts,
         &AipConfig::paper(),
         4,
     )

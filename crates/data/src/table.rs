@@ -10,12 +10,6 @@ use sip_common::{ColKind, ColumnarBatch, DigestBuffer, Result, Row, Schema, SipE
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Heavy hitters retained per column: enough for any realistic hot-key
-/// threshold (a key must hold ≥ `hot_factor/dop` of the rows to salt, so
-/// at most `dop/hot_factor` keys qualify), small enough to keep stats
-/// cheap.
-const HOT_STATS_KEYS: usize = 64;
-
 /// Per-column statistics (exact, computed over generated data).
 #[derive(Clone, Debug)]
 pub struct ColumnStats {
@@ -29,12 +23,6 @@ pub struct ColumnStats {
     /// heavy-hitter statistic skew-aware planning reads: `max_freq /
     /// row_count` is the hot fraction a hash partitioning cannot split.
     pub max_freq: u64,
-    /// The column's heaviest values as `(key digest, occurrences)`,
-    /// heaviest first, capped at [`HOT_STATS_KEYS`] (ties broken by
-    /// digest for determinism). The digests match `Row::key_hash` over
-    /// the single column, so the salt planner reads its hot set straight
-    /// from here instead of re-counting the table.
-    pub hot: Vec<(u64, u64)>,
 }
 
 /// A foreign-key reference: `columns` of this table reference the primary
@@ -268,9 +256,8 @@ fn min_max_indices(batch: &ColumnarBatch, c: usize) -> (Option<usize>, Option<us
 }
 
 fn compute_stats(schema: &Schema, columns: &ColumnarBatch) -> Vec<ColumnStats> {
-    // One vectorized digest pass per column; single-column digests equal
-    // `Row::key_hash` over that column, which is exactly what the salt
-    // planner's hot set must match.
+    // One vectorized digest pass per column: equal values share a digest,
+    // so counting digests counts values.
     let mut digests = DigestBuffer::default();
     let mut stats = Vec::with_capacity(schema.len());
     for c in 0..schema.len() {
@@ -291,24 +278,11 @@ fn compute_stats(schema: &Schema, columns: &ColumnarBatch) -> Vec<ColumnStats> {
     }
     stats
         .into_iter()
-        .map(|(counts, min, max)| {
-            let mut hot: Vec<(u64, u64)> = counts.iter().map(|(&d, &c)| (d, c)).collect();
-            let heaviest_first = |a: &(u64, u64), b: &(u64, u64)| (b.1, a.0).cmp(&(a.1, b.0));
-            // Keep only the top slots before sorting: a high-cardinality
-            // column (unique keys) should not pay an O(D log D) sort for
-            // 64 survivors.
-            if hot.len() > HOT_STATS_KEYS {
-                hot.select_nth_unstable_by(HOT_STATS_KEYS - 1, heaviest_first);
-                hot.truncate(HOT_STATS_KEYS);
-            }
-            hot.sort_by(heaviest_first);
-            ColumnStats {
-                distinct: counts.len() as u64,
-                max_freq: hot.first().map(|&(_, c)| c).unwrap_or(0),
-                hot,
-                min,
-                max,
-            }
+        .map(|(counts, min, max)| ColumnStats {
+            distinct: counts.len() as u64,
+            max_freq: counts.values().copied().max().unwrap_or(0),
+            min,
+            max,
         })
         .collect()
 }

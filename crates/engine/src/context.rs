@@ -50,15 +50,6 @@ pub struct PartitionMap {
     /// equivalence class), these hold only attributes whose *values*
     /// provably obey the partition-hash invariant on that stream.
     pub classes: Vec<FxHashSet<AttrId>>,
-    /// Per interned class: the key digests a skew-adaptive shuffle routes
-    /// *outside* the partition-hash invariant (salted hot keys — scattered
-    /// probe rows, replicated build rows). A per-partition AIP filter
-    /// scoped to such a class must pass these digests unprobed: partition
-    /// `p`'s working set no longer covers `p`'s full hash class for them.
-    /// The plan-wide OR-merged union stays exempt-free — it covers the
-    /// whole subexpression regardless of routing. Classes absent from this
-    /// map are strict.
-    pub salted: FxHashMap<u32, Arc<sip_filter::SaltedKeys>>,
     /// Expanded operators whose aggregate-value columns hold *partial*
     /// (per-partition) accumulator states awaiting the final merge
     /// aggregate — the partial clones themselves and the Merge feeding the
@@ -96,11 +87,9 @@ impl PartitionMap {
     }
 
     /// Does `attr` obey the partition-hash invariant on `op`'s output
-    /// stream — for every key except the stream's salted digests
-    /// ([`PartitionMap::salted_at`])? True exactly when a per-partition
-    /// AIP set built from state fed by `op` can be injected plan-wide
-    /// under a [`crate::taps::FilterScope`] keyed by `attr`, with the
-    /// salted digests attached as the scope's pass-unprobed exemption.
+    /// stream? True exactly when a per-partition AIP set built from state
+    /// fed by `op` can be injected plan-wide under a
+    /// [`crate::taps::FilterScope`] keyed by `attr`.
     pub fn in_class_at(&self, op: OpId, attr: AttrId) -> bool {
         self.op_class
             .get(op.index())
@@ -108,15 +97,6 @@ impl PartitionMap {
             .flatten()
             .map(|c| self.classes[c as usize].contains(&attr))
             .unwrap_or(false)
-    }
-
-    /// The digests routed outside the partition-hash invariant on `op`'s
-    /// output stream (`None` = the stream's class is strict). Controllers
-    /// attach this to every [`crate::taps::FilterScope`]d filter whose set
-    /// summarizes state fed by `op`.
-    pub fn salted_at(&self, op: OpId) -> Option<Arc<sip_filter::SaltedKeys>> {
-        let class = self.op_class.get(op.index()).copied().flatten()?;
-        self.salted.get(&class).cloned()
     }
 }
 
@@ -163,13 +143,6 @@ pub struct ExecOptions {
     /// Collect result rows at the sink (disable for pure timing runs of
     /// large outputs).
     pub collect_rows: bool,
-    /// Fan-in of the tree-structured merge tail in partition-parallel
-    /// plans (consumed by `sip-parallel` at expansion time): `0` = auto
-    /// (one flat merge up to dop 4, a binary tree above — the flat merge
-    /// thread is the serial hop tree merging removes for large outputs);
-    /// values `>= 2` force that fan-in. `1` is rejected by validation (a
-    /// 1-ary merge tree cannot terminate).
-    pub merge_fanin: usize,
     /// How much runtime detail the `sip-trace` layer records
     /// ([`TraceLevel::Off`] by default — routing/skew counts still flow).
     pub trace_level: TraceLevel,
@@ -196,7 +169,6 @@ impl Default for ExecOptions {
             channel_capacity: 16,
             sources: FxHashMap::default(),
             collect_rows: true,
-            merge_fanin: 0,
             trace_level: TraceLevel::default(),
             deadline: None,
             faults: FaultPlan::none(),
@@ -232,12 +204,6 @@ impl ExecOptions {
         if self.channel_capacity == 0 {
             return Err(sip_common::SipError::Config(
                 "channel_capacity must hold at least 1 batch (the backpressure window)".into(),
-            ));
-        }
-        if self.merge_fanin == 1 {
-            return Err(sip_common::SipError::Config(
-                "merge_fanin must be 0 (auto) or at least 2 (a 1-ary merge tree cannot terminate)"
-                    .into(),
             ));
         }
         if let Some(d) = self.deadline {
@@ -342,11 +308,6 @@ pub struct ExecContext {
     /// `Receiver` per writer, in writer order. Taken once by each reader
     /// thread at spawn.
     shuffle_rx: Mutex<MeshEndpoints<Receiver<Msg>>>,
-    /// Per-mesh countdown of writers still running. The writer that drops
-    /// a mesh's count to zero owns the stage boundary: it builds the
-    /// [`crate::monitor::StageFeedback`] snapshot and invokes
-    /// [`crate::monitor::ExecMonitor::on_stage_boundary`].
-    mesh_writers_left: FxHashMap<u32, std::sync::atomic::AtomicU32>,
 }
 
 /// Per-mesh channel endpoints keyed by `(mesh, writer-or-partition)`.
@@ -428,16 +389,6 @@ impl ExecContext {
     ) -> Arc<Self> {
         let n = plan.nodes.len();
         let (shuffle_tx, shuffle_rx) = Self::build_meshes(&plan, options.channel_capacity.max(1));
-        let mut mesh_writers_left: FxHashMap<u32, std::sync::atomic::AtomicU32> =
-            FxHashMap::default();
-        for node in &plan.nodes {
-            if let PhysKind::ShuffleWrite { mesh, .. } = node.kind {
-                mesh_writers_left
-                    .entry(mesh)
-                    .or_insert_with(|| std::sync::atomic::AtomicU32::new(0))
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let cancel = CancelToken::new();
         if let Some(deadline) = options.deadline {
             cancel.set_deadline(std::time::Instant::now() + deadline);
@@ -454,7 +405,6 @@ impl ExecContext {
             collectors: Mutex::new(FxHashMap::default()),
             shuffle_tx: Mutex::new(shuffle_tx),
             shuffle_rx: Mutex::new(shuffle_rx),
-            mesh_writers_left,
         })
     }
 
@@ -585,78 +535,6 @@ impl ExecContext {
         self.shuffle_rx.lock().remove(&(mesh, partition))
     }
 
-    /// One shuffle writer of `mesh` finished; true when it was the last —
-    /// the caller then owns the mesh's stage boundary.
-    pub(crate) fn mesh_writer_finished(&self, mesh: u32) -> bool {
-        self.mesh_writers_left
-            .get(&mesh)
-            .map(|left| left.fetch_sub(1, Ordering::AcqRel) == 1)
-            .unwrap_or(false)
-    }
-
-    /// Snapshot the live counters of `mesh` into a
-    /// [`crate::monitor::StageFeedback`]: the per-writer routing
-    /// histograms and sketches merged across the mesh (via the
-    /// non-destructive [`sip_common::TraceHub::drain`]) plus the current
-    /// rows/finished state of every operator. Meant to be called by the
-    /// mesh's last writer, after its own tracer flush, so the drain sees
-    /// the whole mesh.
-    pub fn stage_feedback(&self, mesh: u32) -> crate::monitor::StageFeedback {
-        let mut writer_ops: FxHashSet<u32> = FxHashSet::default();
-        let mut dop = 0u32;
-        for node in &self.plan.nodes {
-            if let PhysKind::ShuffleWrite {
-                mesh: m, dop: d, ..
-            } = node.kind
-            {
-                if m == mesh {
-                    writer_ops.insert(node.id.0);
-                    dop = d;
-                }
-            }
-        }
-        let mut rows_routed = vec![0u64; dop as usize];
-        let mut hot_keys = 0u64;
-        let mut sketch: Option<sip_common::SpaceSaving> = None;
-        for t in &self.hub.trace.drain().threads {
-            if !writer_ops.contains(&t.op) {
-                continue;
-            }
-            for (slot, &n) in rows_routed.iter_mut().zip(t.routed.iter()) {
-                *slot += n;
-            }
-            hot_keys += t.hot_keys;
-            if let Some(s) = &t.sketch {
-                match &mut sketch {
-                    Some(merged) => merged.merge(s),
-                    None => sketch = Some(s.clone()),
-                }
-            }
-        }
-        let op_rows = self
-            .hub
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                (
-                    OpId(i as u32),
-                    m.rows_out.load(Ordering::Relaxed),
-                    m.finished.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        crate::monitor::StageFeedback {
-            mesh,
-            writers: writer_ops.len() as u32,
-            dop,
-            rows_routed,
-            hot_keys,
-            sketch,
-            op_rows,
-        }
-    }
-
     /// The output layout of an operator.
     pub fn layout(&self, op: OpId) -> &[AttrId] {
         &self.plan.node(op).layout
@@ -768,16 +646,5 @@ mod tests {
         assert_eq!(e.layer(), "config");
         let e = ExecOptions::validated(1024, 0).unwrap_err();
         assert_eq!(e.layer(), "config");
-    }
-
-    #[test]
-    fn merge_fanin_one_is_rejected() {
-        let mut opts = ExecOptions::default();
-        for fanin in [0usize, 2, 8] {
-            opts.merge_fanin = fanin;
-            assert!(opts.validate().is_ok(), "fanin {fanin}");
-        }
-        opts.merge_fanin = 1;
-        assert_eq!(opts.validate().unwrap_err().layer(), "config");
     }
 }

@@ -195,10 +195,8 @@ fn spawn_operator(
                     col,
                     writer,
                     dop,
-                    salt,
                 } => {
-                    let write =
-                        ShuffleWrite::new(ctx, monitor, op, *mesh, *col, *writer, *dop, salt, out)?;
+                    let write = ShuffleWrite::new(ctx, op, *mesh, *col, *writer, *dop, out)?;
                     drive(ctx, op, ins, write)
                 }
                 PhysKind::ShuffleRead {

@@ -10,7 +10,7 @@
 //! other operator fault. The chaos
 //! harnesses (`crates/engine/tests/chaos.rs`,
 //! `crates/parallel/tests/chaos_dop.rs`) sweep these faults across dop ×
-//! salting × retry budgets and assert the lifecycle
+//! retry budgets and assert the lifecycle
 //! invariant: every run is either byte-identical to the oracle or a
 //! clean attributed error — never a partial `Ok`.
 //!

@@ -43,16 +43,11 @@ pub use link::LinkSpec;
 pub use metrics::{
     ExecMetrics, FilterStat, MetricsHub, OpMetrics, OpMetricsSnapshot, PartitionSnapshot,
 };
-pub use monitor::{
-    CompletionEvent, ExecMonitor, NoopMonitor, RowCollector, StageFeedback, StateView,
-};
+pub use monitor::{CompletionEvent, ExecMonitor, NoopMonitor, RowCollector, StateView};
 pub use oracle::{canonical, execute_oracle};
-pub use physical::{
-    lower, BoundAgg, PhysKind, PhysNode, PhysPlan, SaltRole, SaltSpec, ScanPartition,
-};
+pub use physical::{lower, BoundAgg, PhysKind, PhysNode, PhysPlan, ScanPartition};
 pub use profile::{QueryProfile, PROFILE_SCHEMA};
 pub use recovery::run_with_recovery;
 pub use report::{explain_analyze, explain_analyze_profiled};
 pub use sip_common::trace::TraceLevel;
-pub use sip_filter::SaltedKeys;
 pub use taps::{FilterScope, FilterTap, InjectedFilter, MergePolicy, TapKernel};

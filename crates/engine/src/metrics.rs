@@ -86,7 +86,6 @@ impl OpMetrics {
             phase_nanos: [0; N_PHASES],
             phase_counts: [0; N_PHASES],
             routed: Vec::new(),
-            hot_keys_observed: 0,
             occupancy_sum: 0,
             occupancy_samples: 0,
         }
@@ -119,8 +118,6 @@ pub struct OpMetricsSnapshot {
     /// Rows routed per destination partition (routing operators only;
     /// empty elsewhere).
     pub routed: Vec<u64>,
-    /// Heavy hitters the routing operator's online sketch observed.
-    pub hot_keys_observed: u64,
     /// Sum of sampled downstream-channel queue lengths at send time.
     pub occupancy_sum: u64,
     /// Number of occupancy samples.
@@ -385,7 +382,6 @@ impl MetricsHub {
             for (slot, &n) in m.routed.iter_mut().zip(t.routed.iter()) {
                 *slot += n;
             }
-            m.hot_keys_observed += t.hot_keys;
             m.occupancy_sum += t.occupancy_sum;
             m.occupancy_samples += t.occupancy_samples;
         }
@@ -481,14 +477,13 @@ mod tests {
         // old OpMetrics::record_routing Mutex.
         let hub = MetricsHub::new(2);
         let mut a = hub.trace.tracer(0, None);
-        a.set_routed(&[5, 0, 7], 1);
+        a.set_routed(&[5, 0, 7]);
         a.flush();
         let mut b = hub.trace.tracer(0, None);
-        b.set_routed(&[1, 2, 3, 4], 2); // a wider merge grows the vec
+        b.set_routed(&[1, 2, 3, 4]); // a wider merge grows the vec
         b.flush();
         let m = hub.finish(Duration::ZERO, 0);
         assert_eq!(m.per_op[0].routed, vec![6, 2, 10, 4]);
-        assert_eq!(m.per_op[0].hot_keys_observed, 3);
         assert!(m.per_op[1].routed.is_empty());
     }
 
@@ -599,7 +594,7 @@ mod tests {
                 let mut t = hub.trace.tracer(op, Some(op));
                 let s = t.begin();
                 t.end(Phase::Compute, s);
-                t.set_routed(&[1, 2], 0);
+                t.set_routed(&[1, 2]);
                 tracers.push(t);
             }
             if reverse {

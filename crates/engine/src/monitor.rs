@@ -7,77 +7,13 @@
 //! ([`StateView`]), on-the-fly semijoin registration
 //! ([`crate::taps::FilterTap`]), and completion notifications. The
 //! feed-forward and cost-based algorithms in `sip-core` are pure consumers
-//! of this interface.
+//! of this interface. Runtime cardinalities reach them through the live
+//! counters, read when a stateful input completes (`UPDATEESTIMATES`).
 
 use crate::context::ExecContext;
 use crate::metrics::ExecMetrics;
-use sip_common::{AttrId, DigestBuffer, OpId, Row, SpaceSaving};
+use sip_common::{AttrId, DigestBuffer, OpId, Row};
 use std::sync::Arc;
-
-/// Live counters surfaced at a stage boundary — the moment every writer of
-/// one shuffle mesh has finished, while downstream operators are still
-/// running. This is the paper's sideways-information idea applied to the
-/// *plan itself*: the mesh just measured the exact stream the frozen plan
-/// could only estimate, and a controller can still act on what has not
-/// started yet (re-estimate downstream joins, salt a later mesh, pick the
-/// dop of a deferred stage).
-#[derive(Clone, Debug)]
-pub struct StageFeedback {
-    /// The mesh whose writers all finished.
-    pub mesh: u32,
-    /// Number of writers that fed the mesh.
-    pub writers: u32,
-    /// Consumer partitions of the mesh.
-    pub dop: u32,
-    /// Rows routed per consumer partition, summed over writers — the
-    /// observed (not estimated) placement histogram.
-    pub rows_routed: Vec<u64>,
-    /// Heavy-hitter keys the writers' sketches observed in aggregate.
-    pub hot_keys: u64,
-    /// The per-writer [`SpaceSaving`] sketches merged across the mesh:
-    /// observed key frequencies for the stream, comparable against the
-    /// base-table statistics the plan's salting decision was frozen from.
-    pub sketch: Option<SpaceSaving>,
-    /// Live `(op, rows_out, finished)` for every operator at the moment of
-    /// the snapshot — what `UPDATEESTIMATES` overlays on its estimates.
-    pub op_rows: Vec<(OpId, u64, bool)>,
-}
-
-impl StageFeedback {
-    /// Total rows that crossed the mesh.
-    pub fn rows_total(&self) -> u64 {
-        self.rows_routed.iter().sum()
-    }
-
-    /// Observed share of the stream held by its heaviest key (0.0 when the
-    /// mesh carried nothing or no sketch was recorded). This is the
-    /// runtime counterpart of `Table::hot_fraction` — computed from rows
-    /// that actually flowed, not from base-table stats.
-    pub fn hot_share(&self) -> f64 {
-        let total = self.rows_total();
-        if total == 0 {
-            return 0.0;
-        }
-        let heaviest = self
-            .sketch
-            .as_ref()
-            .and_then(|s| s.entries().first().map(|e| e.count))
-            .unwrap_or(0);
-        heaviest.min(total) as f64 / total as f64
-    }
-
-    /// Max/mean balance of the routed histogram (1.0 = perfectly even;
-    /// `dop` = everything on one partition). 1.0 for an empty mesh.
-    pub fn balance(&self) -> f64 {
-        let total = self.rows_total();
-        if total == 0 || self.rows_routed.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.rows_routed.len() as f64;
-        let max = *self.rows_routed.iter().max().unwrap() as f64;
-        max / mean
-    }
-}
 
 /// Read-only view over the buffered state a stateful operator holds for one
 /// input: a join side's hash table, an aggregate's group keys, a distinct
@@ -156,12 +92,6 @@ pub trait ExecMonitor: Send + Sync {
     /// A stateful operator's input completed; `ev.view` is valid only for
     /// the duration of the call.
     fn on_input_complete(&self, _ctx: &Arc<ExecContext>, _ev: &CompletionEvent<'_>) {}
-    /// Every writer of shuffle mesh `fb.mesh` has finished — a stage
-    /// boundary. Runs on the last writer's thread *during* execution
-    /// (downstream operators are still draining the mesh), so controllers
-    /// can fold the observed cardinalities and frequencies into decisions
-    /// about work that has not happened yet.
-    fn on_stage_boundary(&self, _ctx: &Arc<ExecContext>, _fb: &StageFeedback) {}
     /// The run's metrics were frozen: every operator thread has joined and
     /// the `sip-trace` thread traces are merged into `metrics` (per-op
     /// phase breakdowns, span events, filter lifecycle). Runs right before

@@ -10,8 +10,8 @@
 //! window. The same union reads a shuffle reader's mesh inputs.
 //!
 //! The operator itself is arity-agnostic; `sip-parallel` arranges `Merge`
-//! nodes into a *tree* (fan-in from `PartitionConfig::merge_fanin` /
-//! `ExecOptions::merge_fanin`, auto: binary above dop 4) so the per-batch
+//! nodes into a *tree* (fan-in from `PartitionConfig::merge_fanin`, auto:
+//! binary above dop 4) so the per-batch
 //! merge work — select registration, input counters, the emit hop — is
 //! spread over several threads instead of funnelling every partition
 //! through one serial merge at the root of large outputs.
@@ -114,7 +114,7 @@ impl PushOp for Exchange<'_> {
         // view covers broadcast-pruned replicas too.
         let mut routed = vec![0u64; self.dop as usize];
         routed[self.partition as usize] = self.kept;
-        self.tr.set_routed(&routed, 0);
+        self.tr.set_routed(&routed);
         self.emitter.finish()?;
         self.tr.flush();
         Ok(())

@@ -87,30 +87,17 @@ pub(crate) fn run_scan(ctx: &Arc<ExecContext>, op: OpId, out: Sender<Msg>) -> Re
         let n = batch.min(total - offset);
         let t0 = tr.begin();
         let mut chunk = source.slice(offset, n).select_columns(&cols);
-        match &part {
-            // Rowid split: ownership by table row index — perfectly
-            // balanced regardless of the key distribution; used only for
-            // streams a shuffle mesh re-deals above.
-            Some(p) if p.rowid => {
-                sel.fill_identity(n);
-                sel.retain(|i| p.owns_row(0, (offset + i as usize) as u64));
-                if sel.len() < n {
-                    chunk = chunk.gather(sel.as_slice());
-                }
+        // Hash split: one digest pass decides ownership for the whole
+        // chunk, so the delay model charges only this partition's share of
+        // shipped rows.
+        if let Some(p) = &part {
+            digests.compute_cols(&chunk, &[p.col]);
+            sel.fill_identity(n);
+            let d = digests.digests();
+            sel.retain(|i| p.owns(d[i as usize]));
+            if sel.len() < n {
+                chunk = chunk.gather(sel.as_slice());
             }
-            // Hash split: one digest pass decides ownership for the whole
-            // chunk, so the delay model charges only this partition's
-            // share of shipped rows.
-            Some(p) => {
-                digests.compute_cols(&chunk, &[p.col]);
-                sel.fill_identity(n);
-                let d = digests.digests();
-                sel.retain(|i| p.owns(d[i as usize]));
-                if sel.len() < n {
-                    chunk = chunk.gather(sel.as_slice());
-                }
-            }
-            None => {}
         }
         // The span covers projection + partition filtering only — the
         // simulated source delay below is transmission latency, not work.

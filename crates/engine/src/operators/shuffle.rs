@@ -22,90 +22,22 @@
 use super::driver::{Payload, PushOp};
 use super::Emitter;
 use crate::context::{ExecContext, Msg};
-use crate::monitor::ExecMonitor;
-use crate::physical::{SaltRole, SaltSpec};
 use crate::taps::TapKernel;
 use crossbeam::channel::Sender;
 use sip_common::trace::{OpTracer, Phase};
-use sip_common::{exec_err, hash::partition_of, OpId, Result, SelVec, SpaceSaving};
+use sip_common::{exec_err, hash::partition_of, OpId, Result, SelVec};
 use std::sync::Arc;
 
-/// Candidate slots the per-writer space-saving sketch tracks. Guarantees
-/// any key above `1/64` of the *sampled* stream is observed, at a few KB
-/// of state per writer.
-const SKETCH_CAPACITY: usize = 64;
-
-/// The sketch sees every row until this many have been offered…
-const SKETCH_WARMUP: u64 = 4096;
-
-/// …then every `SKETCH_STRIDE`-th routed row. On a high-cardinality
-/// stream the sketch's eviction path (an O(capacity) min-scan per
-/// untracked key) would otherwise run per row and dwarf the routing push
-/// itself; stride sampling keeps the observability near-free while a key
-/// holding share `s` of the stream still holds share `s` of the sample,
-/// so heavy hitters remain detectable — estimates and thresholds all
-/// scale with the sampled total.
-const SKETCH_STRIDE: u64 = 16;
-
-/// Deal one batch's surviving selection into per-destination selection
-/// vectors — the layout-agnostic core of the shuffle writer, shared by the
-/// row and columnar arms. `route` is cleared and refilled; `rr`, `seen`,
-/// and the sketch carry across batches.
-#[allow(clippy::too_many_arguments)]
-fn deal_routes(
-    salt: &Option<SaltSpec>,
-    dop: u32,
-    rr: &mut u32,
-    seen: &mut u64,
-    sketch: &mut SpaceSaving,
-    route: &mut [SelVec],
-    owners: &[u32],
-    digs: &[u64],
-    sel: &SelVec,
-) {
-    for s in route.iter_mut() {
-        s.clear();
-    }
-    for i in sel.iter() {
-        let iu = i as usize;
-        *seen += 1;
-        if *seen <= SKETCH_WARMUP || seen.is_multiple_of(SKETCH_STRIDE) {
-            sketch.offer(digs[iu]);
-        }
-        match salt {
-            Some(s) if s.keys.covers(digs[iu]) => match s.role {
-                SaltRole::Scatter => {
-                    route[*rr as usize].push(i);
-                    *rr = (*rr + 1) % dop;
-                }
-                SaltRole::Broadcast => {
-                    for dest in route.iter_mut() {
-                        dest.push(i);
-                    }
-                }
-            },
-            _ => route[owners[iu] as usize].push(i),
-        }
-    }
-}
-
 /// A `ShuffleWrite` node: route each input row to the mesh channel of the
-/// consumer partition owning its key hash. Salted (hot) keys route outside
-/// the hash invariant — round-robin across all readers for a `Scatter`
-/// writer, to every reader for a `Broadcast` writer — which is what keeps a
-/// Zipf-hot key from saturating one reader (see
-/// [`crate::physical::SaltSpec`]). The tree output stays empty (EOF only) —
-/// it exists so the paired reader anchors the writer in the plan tree.
-/// A `ShuffleRead` is a [`super::exchange::Union`] over its mesh inputs and
-/// that tree input.
+/// consumer partition owning its key hash. The tree output stays empty
+/// (EOF only) — it exists so the paired reader anchors the writer in the
+/// plan tree. A `ShuffleRead` is a [`super::exchange::Union`] over its
+/// mesh inputs and that tree input.
 pub(crate) struct ShuffleWrite<'a> {
     ctx: &'a Arc<ExecContext>,
-    monitor: &'a dyn ExecMonitor,
     op: OpId,
-    mesh: u32,
     col: usize,
     dop: u32,
-    salt: &'a Option<SaltSpec>,
     /// The tree output, which carries only the final `Eof`.
     out: Sender<Msg>,
     /// One emitter per destination: each counts rows_out and batches
@@ -118,33 +50,20 @@ pub(crate) struct ShuffleWrite<'a> {
     emitters: Vec<Emitter<'a>>,
     kernel: TapKernel,
     tr: OpTracer,
+    /// Per-destination selection vectors, refilled for every batch.
     route: Vec<SelVec>,
     owners: Vec<u32>,
-    digs: Vec<u64>,
-    /// Round-robin cursor for scattered (salted) rows; writers start at
-    /// their own index so a mesh's writers do not all hammer reader 0
-    /// first.
-    rr: u32,
-    /// Online skew observability: every routing digest feeds a
-    /// space-saving sketch (sharing the digest pass the router computed
-    /// anyway), so the metrics report which keys actually ran hot —
-    /// validating, or contradicting, the plan-time salt decision.
-    sketch: SpaceSaving,
-    seen: u64,
     routed: Vec<u64>,
 }
 
 impl<'a> ShuffleWrite<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         ctx: &'a Arc<ExecContext>,
-        monitor: &'a dyn ExecMonitor,
         op: OpId,
         mesh: u32,
         col: usize,
         writer: u32,
         dop: u32,
-        salt: &'a Option<SaltSpec>,
         out: Sender<Msg>,
     ) -> Result<Self> {
         let txs = ctx
@@ -152,12 +71,9 @@ impl<'a> ShuffleWrite<'a> {
             .ok_or_else(|| exec_err!("mesh {mesh} writer {writer} has no senders"))?;
         Ok(ShuffleWrite {
             ctx,
-            monitor,
             op,
-            mesh,
             col,
             dop,
-            salt,
             out,
             emitters: txs
                 .into_iter()
@@ -167,10 +83,6 @@ impl<'a> ShuffleWrite<'a> {
             tr: ctx.tracer(op),
             route: (0..dop as usize).map(|_| SelVec::default()).collect(),
             owners: Vec::new(),
-            digs: Vec::new(),
-            rr: writer % dop,
-            sketch: SpaceSaving::new(SKETCH_CAPACITY),
-            seen: 0,
             routed: vec![0u64; dop as usize],
         })
     }
@@ -194,29 +106,20 @@ impl PushOp for ShuffleWrite<'_> {
         };
         self.tr.end(Phase::TapProbe, t0);
         let t0 = self.tr.begin();
-        {
-            let d = match &payload {
-                Payload::Batch(b) => self.kernel.digests(&b.rows, &[col]),
-                Payload::Cols(c) => self.kernel.digests_cols(c, &[col]),
-            }
-            .digests();
-            self.owners.clear();
-            self.owners
-                .extend(d.iter().map(|&d| partition_of(d, self.dop)));
-            self.digs.clear();
-            self.digs.extend_from_slice(d);
+        for s in self.route.iter_mut() {
+            s.clear();
         }
-        deal_routes(
-            self.salt,
-            self.dop,
-            &mut self.rr,
-            &mut self.seen,
-            &mut self.sketch,
-            &mut self.route,
-            &self.owners,
-            &self.digs,
-            self.kernel.sel(),
-        );
+        let d = match &payload {
+            Payload::Batch(b) => self.kernel.digests(&b.rows, &[col]),
+            Payload::Cols(c) => self.kernel.digests_cols(c, &[col]),
+        }
+        .digests();
+        self.owners.clear();
+        self.owners
+            .extend(d.iter().map(|&d| partition_of(d, self.dop)));
+        for i in self.kernel.sel().iter() {
+            self.route[self.owners[i as usize] as usize].push(i);
+        }
         // One Compute span per batch covering digest + deal; the emitters'
         // auto-flush sends inside extend_sel are recorded as nested time.
         self.tr.end(Phase::Compute, t0);
@@ -250,26 +153,10 @@ impl PushOp for ShuffleWrite<'_> {
         for e in self.emitters {
             e.finish()?;
         }
-        // Publish routing observability once: per-destination row counts,
-        // the keys whose observed share of this writer's stream exceeded
-        // one reader's fair share, and the sketch itself (so a
-        // stage-boundary drain can merge the per-writer frequency summaries
-        // into one mesh-wide histogram).
-        let hot_threshold = (self.sketch.total() / self.dop.max(1) as u64).max(1);
-        let observed_hot = self.sketch.heavy_hitters(hot_threshold).len() as u64;
-        self.tr.set_routed(&self.routed, observed_hot);
-        self.tr.set_sketch(self.sketch);
+        // Publish the per-destination row counts once.
+        self.tr.set_routed(&self.routed);
         self.tr.flush();
-        // Tree EOF first: the paired reader (and the rest of the pipeline)
-        // can keep draining while the last writer builds the boundary
-        // snapshot.
         let _ = self.out.send(Msg::Eof);
-        if self.ctx.mesh_writer_finished(self.mesh) {
-            // This thread's flush above is already in the hub, so the drain
-            // sees every writer of the mesh — a complete stage picture.
-            let fb = self.ctx.stage_feedback(self.mesh);
-            self.monitor.on_stage_boundary(self.ctx, &fb);
-        }
         Ok(())
     }
 }

@@ -35,13 +35,8 @@ fn eval_node(plan: &PhysPlan, op: OpId, outputs: &mut [Option<Vec<Row>>]) -> Res
         } => Ok(table
             .rows()
             .iter()
-            .enumerate()
-            .map(|(i, r)| (i, r.project(cols)))
-            .filter(|(i, r)| match part {
-                Some(p) => p.owns_row(r.key_hash(&[p.col]), *i as u64),
-                None => true,
-            })
-            .map(|(_, r)| r)
+            .map(|r| r.project(cols))
+            .filter(|r| part.as_ref().is_none_or(|p| p.owns(r.key_hash(&[p.col]))))
             .collect()),
         PhysKind::Filter { predicate } => {
             let input = take_input(outputs, node.inputs[0]);
@@ -186,14 +181,7 @@ fn eval_node(plan: &PhysPlan, op: OpId, outputs: &mut [Option<Vec<Row>>]) -> Res
         } => {
             let mut out = Vec::new();
             for w in &plan.nodes {
-                let PhysKind::ShuffleWrite {
-                    mesh: m,
-                    col,
-                    writer,
-                    salt,
-                    ..
-                } = &w.kind
-                else {
+                let PhysKind::ShuffleWrite { mesh: m, col, .. } = &w.kind else {
                     continue;
                 };
                 if m != mesh {
@@ -202,30 +190,13 @@ fn eval_node(plan: &PhysPlan, op: OpId, outputs: &mut [Option<Vec<Row>>]) -> Res
                 let rows = outputs[w.id.index()]
                     .as_ref()
                     .expect("mesh writers precede readers (validate_meshes)");
-                // Salted keys route outside the hash invariant: scattered
-                // rows are dealt round-robin (any single destination per
-                // row is correct because the matching build rows are
-                // replicated; the oracle picks a deterministic deal keyed
-                // on writer index + per-writer salted-row ordinal),
-                // broadcast rows reach every partition.
-                let mut salted_seen = 0u64;
-                for r in rows {
-                    let digest = r.key_hash(&[*col]);
-                    let keep = match salt {
-                        Some(s) if s.keys.covers(digest) => match s.role {
-                            crate::physical::SaltRole::Scatter => {
-                                let dest = ((*writer as u64 + salted_seen) % *dop as u64) as u32;
-                                salted_seen += 1;
-                                dest == *partition
-                            }
-                            crate::physical::SaltRole::Broadcast => true,
-                        },
-                        _ => sip_common::hash::partition_of(digest, *dop) == *partition,
-                    };
-                    if keep {
-                        out.push(r.clone());
-                    }
-                }
+                out.extend(
+                    rows.iter()
+                        .filter(|r| {
+                            sip_common::hash::partition_of(r.key_hash(&[*col]), *dop) == *partition
+                        })
+                        .cloned(),
+                );
             }
             Ok(out)
         }

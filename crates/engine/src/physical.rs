@@ -8,7 +8,6 @@
 use sip_common::{plan_err, AttrId, OpId, Result};
 use sip_data::{Catalog, Table};
 use sip_expr::{AggFunc, Expr};
-use sip_filter::SaltedKeys;
 use sip_plan::{AttrCatalog, LogicalPlan};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -32,76 +31,20 @@ pub struct BoundAgg {
 /// `dop` partitions overlap source latency.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScanPartition {
-    /// Position in the scan's *output* layout whose value is hashed
-    /// (ignored when `rowid` is set).
+    /// Position in the scan's *output* layout whose value is hashed.
     pub col: usize,
     /// This scan's partition index (`< dop`).
     pub partition: u32,
     /// Total number of partitions.
     pub dop: u32,
-    /// Split by row index modulo `dop` instead of by key hash. A rowid
-    /// split is perfectly balanced regardless of the data distribution but
-    /// upholds no partition-hash invariant, so the expander only uses it
-    /// for streams that are re-dealt by a shuffle mesh above anyway — the
-    /// scatter side of a salted join, whose hot key would otherwise
-    /// concentrate the (possibly delay-modeled) source on one scan.
-    pub rowid: bool,
 }
 
 impl ScanPartition {
-    /// Does this partition own `digest`? (Hash mode only; rowid splits
-    /// decide by row index via [`ScanPartition::owns_row`].)
+    /// Does this partition own `digest`?
     #[inline]
     pub fn owns(&self, digest: u64) -> bool {
         sip_common::hash::partition_of(digest, self.dop) == self.partition
     }
-
-    /// Does this partition own the row with table index `row_index` and
-    /// key digest `digest`?
-    #[inline]
-    pub fn owns_row(&self, digest: u64, row_index: u64) -> bool {
-        if self.rowid {
-            (row_index % self.dop as u64) as u32 == self.partition
-        } else {
-            self.owns(digest)
-        }
-    }
-}
-
-/// How a salted [`PhysKind::ShuffleWrite`] routes the rows of its hot
-/// (salted) keys. Cold keys always route by hash.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SaltRole {
-    /// Deal salted rows round-robin across all readers — the probe side of
-    /// a skew-adaptive join. Each row still reaches exactly one partition,
-    /// so output multisets are preserved; placement is arbitrary, which is
-    /// sound because the matching build rows are replicated everywhere.
-    Scatter,
-    /// Send each salted row to *every* reader — the build side. Set/join
-    /// semantics tolerate the replication: each scattered probe row meets
-    /// each matching build row exactly once, in its own partition.
-    Broadcast,
-}
-
-/// Salting instructions for one shuffle mesh, fixed at plan time (a fully
-/// pipelined symmetric join cannot retroactively replicate build rows of a
-/// key that turns hot mid-stream, so the hot set must be known before rows
-/// flow; `sip-parallel` derives it from exact base-table frequencies).
-/// The probe mesh and the build mesh of one salted join share the same
-/// [`SaltedKeys`] so both sides agree on which keys live everywhere.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SaltSpec {
-    /// The salted key digests (`SaltedKeys::All` = replicated-build
-    /// fallback: every build row broadcast, every probe row dealt
-    /// round-robin).
-    pub keys: Arc<SaltedKeys>,
-    /// This writer's routing role for salted rows.
-    pub role: SaltRole,
-    /// Estimated fraction of the stream's rows the salted keys cover
-    /// (1.0 for `SaltedKeys::All`). A broadcast writer replicates this
-    /// share to every reader — the estimator uses it to price reader
-    /// cardinality instead of assuming a clean `1/dop` split.
-    pub hot_coverage: f64,
 }
 
 /// The operator algebra the engine executes.
@@ -187,8 +130,6 @@ pub enum PhysKind {
         writer: u32,
         /// Number of consumer partitions (the hash modulus).
         dop: u32,
-        /// Skew-adaptive routing for hot keys (`None` = pure hash routing).
-        salt: Option<SaltSpec>,
     },
     /// Consumer half of a shuffle: drains the `writers` mesh channels
     /// addressed to `partition`, emitting their union downstream. Finishes
@@ -378,7 +319,6 @@ impl PhysPlan {
             dops: Vec<u32>,
             expected_writers: Vec<u32>,
             layouts: Vec<usize>, // arena index of each member, for layout checks
-            salts: Vec<Option<SaltSpec>>,
             last_writer: usize,
             first_reader: usize,
         }
@@ -386,11 +326,7 @@ impl PhysPlan {
         for (i, n) in self.nodes.iter().enumerate() {
             match &n.kind {
                 PhysKind::ShuffleWrite {
-                    mesh,
-                    writer,
-                    dop,
-                    salt,
-                    ..
+                    mesh, writer, dop, ..
                 } => {
                     let e = meshes.entry(*mesh).or_insert_with(|| Mesh {
                         first_reader: usize::MAX,
@@ -399,7 +335,6 @@ impl PhysPlan {
                     e.writer_idx.push(*writer);
                     e.dops.push(*dop);
                     e.layouts.push(i);
-                    e.salts.push(salt.clone());
                     e.last_writer = e.last_writer.max(i);
                 }
                 PhysKind::ShuffleRead {
@@ -451,12 +386,6 @@ impl PhysPlan {
             let layout = &self.nodes[m.layouts[0]].layout;
             if m.layouts.iter().any(|&i| &self.nodes[i].layout != layout) {
                 return Err(plan_err!("mesh {mesh} members disagree on layout"));
-            }
-            // Salting must be uniform across a mesh's writers: a reader's
-            // multiset is only correct when every writer agrees on which
-            // keys route outside the hash invariant (and how).
-            if m.salts.windows(2).any(|w| w[0] != w[1]) {
-                return Err(plan_err!("mesh {mesh} writers disagree on salt spec"));
             }
             if m.last_writer > m.first_reader {
                 return Err(plan_err!(
@@ -539,7 +468,6 @@ impl PhysPlan {
                 ..
             } => {
                 let part = match part {
-                    Some(p) if p.rowid => format!(" [rowid part {}/{}]", p.partition, p.dop),
                     Some(p) => format!(" [part {}/{}]", p.partition, p.dop),
                     None => String::new(),
                 };
@@ -578,23 +506,7 @@ impl PhysPlan {
                 col,
                 writer,
                 dop,
-                salt,
-            } => {
-                let salt = match salt {
-                    None => String::new(),
-                    Some(s) => {
-                        let role = match s.role {
-                            SaltRole::Scatter => "scatter",
-                            SaltRole::Broadcast => "broadcast",
-                        };
-                        match s.keys.len() {
-                            Some(n) => format!(" [salt {role} {n} keys]"),
-                            None => format!(" [salt {role} all]"),
-                        }
-                    }
-                };
-                format!("mesh{mesh} hash(col{col}) from {writer} -> {dop} parts{salt}")
-            }
+            } => format!("mesh{mesh} hash(col{col}) from {writer} -> {dop} parts"),
             PhysKind::ShuffleRead {
                 mesh,
                 partition,

@@ -48,8 +48,6 @@ pub struct OpProfile {
     pub phase_counts: [u64; N_PHASES],
     /// Rows routed per destination partition (routing operators only).
     pub routed: Vec<u64>,
-    /// Heavy hitters the routing sketch observed.
-    pub hot_keys_observed: u64,
     /// Mean sampled occupancy of the downstream channel, if sampled.
     pub occupancy_mean: Option<f64>,
 }
@@ -197,7 +195,6 @@ impl QueryProfile {
                 phase_nanos: m.phase_nanos,
                 phase_counts: m.phase_counts,
                 routed: m.routed.clone(),
-                hot_keys_observed: m.hot_keys_observed,
                 occupancy_mean: m.occupancy_mean(),
             })
             .collect();
@@ -284,7 +281,7 @@ impl QueryProfile {
                 "    {{\"op\": {}, \"kind\": {}, \"partition\": {}, \"rows_in\": {}, \
 \"batches_in\": {}, \"rows_out\": {}, \"aip_probed\": {}, \"aip_dropped\": {}, \
 \"state_peak\": {}, \"phase_nanos\": {}, \"phase_counts\": {}, \"busy_nanos\": {}, \
-\"routed\": {}, \"hot_keys_observed\": {}, \"occupancy_mean\": {}}}",
+\"routed\": {}, \"occupancy_mean\": {}}}",
                 o.op,
                 json_str(&o.kind),
                 json_opt_u32(o.partition),
@@ -298,7 +295,6 @@ impl QueryProfile {
                 json_u64s(&o.phase_counts),
                 o.busy_nanos(),
                 json_u64s(&o.routed),
-                o.hot_keys_observed,
                 json_opt_f64(o.occupancy_mean),
             );
             out.push_str(if i + 1 < self.ops.len() { ",\n" } else { "\n" });

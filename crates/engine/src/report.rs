@@ -107,12 +107,7 @@ fn fmt_node(plan: &PhysPlan, profile: &QueryProfile, op: OpId, depth: usize, out
             Some(s) => format!(" skew={s:.2}x"),
             None => String::new(),
         };
-        let hot = if o.hot_keys_observed > 0 {
-            format!(" hot_keys={}", o.hot_keys_observed)
-        } else {
-            String::new()
-        };
-        format!(" | routed={:?}{skew}{hot}", o.routed)
+        format!(" | routed={:?}{skew}", o.routed)
     };
     let occupancy = match o.occupancy_mean {
         Some(q) => format!(" | out-queue avg {q:.1}"),

@@ -13,7 +13,7 @@
 use parking_lot::RwLock;
 use sip_common::hash::partition_of;
 use sip_common::{ColumnarBatch, DigestBuffer, DigestCache, OpId, Row, SelVec};
-use sip_filter::{AipSet, SaltedKeys};
+use sip_filter::AipSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,14 +54,6 @@ pub struct InjectedFilter {
     /// Partition restriction for sets built from per-partition state;
     /// `None` = the set covers the whole subexpression.
     pub scope: Option<FilterScope>,
-    /// Digests a skew-adaptive shuffle routed *outside* the partition-hash
-    /// invariant on the producing stream (salted hot keys). A scoped
-    /// filter must pass them unprobed: the producing partition's state
-    /// does not cover a salted key even when the key hashes home to it —
-    /// its rows were scattered or replicated across all partitions.
-    /// Meaningless (and ignored) without a scope: unscoped sets cover the
-    /// whole subexpression however rows were routed.
-    pub salted: Option<Arc<SaltedKeys>>,
     /// Rows probed.
     pub probed: AtomicU64,
     /// Rows dropped.
@@ -81,40 +73,21 @@ impl InjectedFilter {
         set: Arc<AipSet>,
         scope: Option<FilterScope>,
     ) -> Self {
-        Self::scoped_salted(label, positions, set, scope, None)
-    }
-
-    /// Create a partition-scoped filter over a stream whose salted digests
-    /// must pass unprobed (see [`InjectedFilter::salted`]).
-    pub fn scoped_salted(
-        label: impl Into<String>,
-        positions: Vec<usize>,
-        set: Arc<AipSet>,
-        scope: Option<FilterScope>,
-        salted: Option<Arc<SaltedKeys>>,
-    ) -> Self {
         InjectedFilter {
             label: label.into(),
             positions,
             set,
             scope,
-            salted,
             probed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Is `digest` outside this filter's domain (foreign partition, or a
-    /// salted key the producing partition's state does not cover)? Such
-    /// rows pass unprobed and uncounted.
+    /// Is `digest` outside this filter's partition scope? Such rows pass
+    /// unprobed and uncounted.
     #[inline]
     fn out_of_scope(&self, digest: u64) -> bool {
-        match &self.scope {
-            None => false,
-            Some(scope) => {
-                !scope.applies(digest) || self.salted.as_ref().is_some_and(|s| s.covers(digest))
-            }
-        }
+        self.scope.is_some_and(|scope| !scope.applies(digest))
     }
 
     /// Probe a row without touching the metric counters; `Some(ok)` when the
@@ -152,7 +125,7 @@ impl InjectedFilter {
             let i = i as usize;
             let digest = digests[i];
             if self.out_of_scope(digest) {
-                return true; // foreign partition or salted key: pass unprobed
+                return true; // foreign partition: pass unprobed
             }
             probed += 1;
             probed_mask[i] = true;
@@ -185,7 +158,7 @@ impl InjectedFilter {
             let i = i as usize;
             let digest = digests[i];
             if self.out_of_scope(digest) {
-                return true; // foreign partition or salted key: pass unprobed
+                return true; // foreign partition: pass unprobed
             }
             probed += 1;
             probed_mask[i] = true;
@@ -257,25 +230,20 @@ impl FilterTap {
             MergePolicy::Intersect => {
                 let mut merged = false;
                 for slot in chain.iter_mut() {
-                    // Scopes (and salted exemptions) must match:
-                    // intersecting sets from different partitions — or
-                    // with different pass-unprobed domains — would
-                    // conflate different key domains.
-                    if slot.positions == filter.positions
-                        && slot.scope == filter.scope
-                        && slot.salted == filter.salted
-                    {
+                    // Scopes must match: intersecting sets from
+                    // different partitions would conflate different key
+                    // domains.
+                    if slot.positions == filter.positions && slot.scope == filter.scope {
                         if let (AipSet::Bloom(a), AipSet::Bloom(b)) =
                             (slot.set.as_ref(), filter.set.as_ref())
                         {
                             let mut combined = a.clone();
                             if combined.intersect(b).is_ok() {
-                                *slot = Arc::new(InjectedFilter::scoped_salted(
+                                *slot = Arc::new(InjectedFilter::scoped(
                                     format!("{} ∩ {}", slot.label, filter.label),
                                     filter.positions.clone(),
                                     Arc::new(AipSet::Bloom(combined)),
                                     filter.scope,
-                                    filter.salted.clone(),
                                 ));
                                 merged = true;
                                 break;
@@ -607,69 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn scoped_filter_passes_salted_keys_unprobed() {
-        let dop = 2u32;
-        let owned_by = |p: u32| {
-            (0i64..)
-                .find(|&k| {
-                    sip_common::hash::partition_of(sip_common::hash_key(&[Value::Int(k)]), dop) == p
-                })
-                .unwrap()
-        };
-        let mine = owned_by(0);
-        // An empty set scoped to partition 0 drops every partition-0 key —
-        // unless the key is salted, in which case its rows may live in any
-        // partition and the filter must pass it unprobed.
-        let salted: sip_common::FxHashSet<u64> =
-            std::iter::once(sip_common::hash_key(&[Value::Int(mine)])).collect();
-        let f = InjectedFilter::scoped_salted(
-            "p0",
-            vec![0],
-            set_of(&[]),
-            Some(FilterScope { partition: 0, dop }),
-            Some(sip_filter::SaltedKeys::from_digests(salted)),
-        );
-        assert_eq!(f.probe_quiet(&row(mine)), None, "salted key was probed");
-        assert!(f.admits(&row(mine)));
-        assert_eq!(f.probed.load(Ordering::Relaxed), 0);
-        // The batch kernel agrees with the row path.
-        let rows = vec![row(mine)];
-        let digests = vec![rows[0].key_hash(&[0])];
-        let mut sel = SelVec::default();
-        sel.fill_identity(1);
-        let mut mask = vec![false];
-        let (probed, dropped) = f.probe_batch(&rows, &digests, &mut sel, &mut mask);
-        assert_eq!((probed, dropped), (0, 0));
-        assert_eq!(sel.len(), 1, "salted row must survive");
-        // The same key without the exemption is probed and dropped.
-        let g = InjectedFilter::scoped(
-            "p0-strict",
-            vec![0],
-            set_of(&[]),
-            Some(FilterScope { partition: 0, dop }),
-        );
-        assert!(!g.admits(&row(mine)));
-        // An all-salted exemption passes everything.
-        let all = InjectedFilter::scoped_salted(
-            "p0-all",
-            vec![0],
-            set_of(&[]),
-            Some(FilterScope { partition: 0, dop }),
-            Some(Arc::new(sip_filter::SaltedKeys::All)),
-        );
-        assert!(all.admits(&row(mine)));
-        assert_eq!(all.probed.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn columnar_probe_batch_matches_row_probe_batch() {
         let rows: Vec<Row> = (0..64).map(row).collect();
         let batch = ColumnarBatch::from_rows(&rows);
         let mut digests = DigestBuffer::default();
         digests.compute(&rows, &[0]);
-        // Unscoped, scoped (dop 2, partition 0), and scoped+salted filters
-        // must keep identical selections and counters on both layouts.
-        let salted: sip_common::FxHashSet<u64> = digests.digests()[..8].iter().copied().collect();
+        // Unscoped and scoped (dop 2, both partitions) filters must keep
+        // identical selections and counters on both layouts.
         let filters = [
             InjectedFilter::new("plain", vec![0], set_of(&[2, 5, 9, 33])),
             InjectedFilter::scoped(
@@ -681,15 +593,14 @@ mod tests {
                     dop: 2,
                 }),
             ),
-            InjectedFilter::scoped_salted(
-                "salted",
+            InjectedFilter::scoped(
+                "scoped-empty",
                 vec![0],
                 set_of(&[]),
                 Some(FilterScope {
-                    partition: 0,
+                    partition: 1,
                     dop: 2,
                 }),
-                Some(sip_filter::SaltedKeys::from_digests(salted)),
             ),
         ];
         for f in &filters {

@@ -14,10 +14,8 @@ pub mod aipset;
 pub mod bloom;
 pub mod hashset;
 pub mod minmax;
-pub mod salted;
 
 pub use aipset::{AipSet, AipSetBuilder, AipSetKind};
 pub use bloom::BloomFilter;
 pub use hashset::BucketedKeySet;
 pub use minmax::MinMaxSummary;
-pub use salted::SaltedKeys;

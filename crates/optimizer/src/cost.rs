@@ -115,8 +115,8 @@ impl CostModel {
     /// [`CostModel::repartition_wins`] with the uniform-keys assumption
     /// removed: `skew` (≥ 1, from [`CostModel::skew_factor`]) inflates the
     /// parallel join's per-worker share, so a Zipf-hot key that would pile
-    /// onto one reader makes the serial fallback (or a salted plan) win
-    /// where the uniform model would shuffle and stall.
+    /// onto one reader makes the serial fallback win where the uniform
+    /// model would shuffle and stall.
     pub fn repartition_wins_skewed(
         &self,
         left: f64,
@@ -132,56 +132,6 @@ impl CostModel {
         let parallel = self.join_cost(left * sf / d, right * sf / d, out * sf / d)
             + self.shuffle_cost(moved / d);
         parallel < serial
-    }
-
-    /// Should a skewed join salt its hot keys — deal the scatter side's
-    /// hot rows round-robin and replicate the matching build rows to every
-    /// partition — instead of hash-shuffling and eating the skew? Both
-    /// plans are `dop`-way parallel; the salted one pays `extra_moved`
-    /// additional mesh-hop rows (the previously aligned side now crosses a
-    /// mesh too) and each worker builds the full hot slice of the build
-    /// side, but its per-worker share drops from the skewed
-    /// `skew_factor/dop` back to `1/dop`.
-    pub fn salting_wins(
-        &self,
-        scatter: f64,
-        build: f64,
-        out: f64,
-        extra_moved: f64,
-        dop: u32,
-        hot_frac: f64,
-    ) -> bool {
-        let d = (dop.max(1)) as f64;
-        let h = hot_frac.clamp(0.0, 1.0);
-        let sf = self.skew_factor(h, dop);
-        let unsalted = self.join_cost(scatter * sf / d, build * sf / d, out * sf / d);
-        // Per worker: a fair share of the scatter side, the cold build
-        // share plus every hot build row (replicated), a fair output
-        // share, and the extra mesh hops.
-        let salted_build = build * ((1.0 - h) / d + h);
-        let salted =
-            self.join_cost(scatter / d, salted_build, out / d) + self.shuffle_cost(extra_moved / d);
-        salted < unsalted
-    }
-
-    /// Pathological all-hot fallback: replicate the *entire* build side to
-    /// every partition and deal the probe side round-robin. Wins over the
-    /// skewed hash plan when the build is small enough that `dop` copies
-    /// cost less than the skew-stalled critical path.
-    pub fn replicated_build_wins(
-        &self,
-        scatter: f64,
-        build: f64,
-        out: f64,
-        dop: u32,
-        hot_frac: f64,
-    ) -> bool {
-        let d = (dop.max(1)) as f64;
-        let sf = self.skew_factor(hot_frac, dop);
-        let unsalted = self.join_cost(scatter * sf / d, build * sf / d, out * sf / d);
-        let replicated = self.join_cost(scatter / d, build, out / d)
-            + self.shuffle_cost((scatter + build * d) / d);
-        replicated < unsalted
     }
 }
 
@@ -257,26 +207,5 @@ mod tests {
             m.repartition_wins(l, r, out, moved, 4),
             m.repartition_wins_skewed(l, r, out, moved, 4, 1.0)
         );
-    }
-
-    #[test]
-    fn salting_pays_on_hot_keys_with_small_builds() {
-        let m = CostModel::default();
-        // Hot probe key, small build side: salting levels the skew for
-        // the cost of replicating a few build rows.
-        assert!(m.salting_wins(1e6, 1e3, 1e6, 2e6, 4, 0.4));
-        // Uniform keys: no skew to fix, salting is pure overhead.
-        assert!(!m.salting_wins(1e6, 1e3, 1e6, 2e6, 4, 0.0));
-        // Huge build side: replicating its hot rows costs more than the
-        // mild skew it cures.
-        assert!(!m.salting_wins(1e4, 1e7, 1e4, 2e7, 4, 0.3));
-    }
-
-    #[test]
-    fn replicated_build_fallback_needs_small_build_and_heavy_skew() {
-        let m = CostModel::default();
-        assert!(m.replicated_build_wins(1e6, 1e3, 1e6, 4, 0.9));
-        assert!(!m.replicated_build_wins(1e6, 1e3, 1e6, 4, 0.0));
-        assert!(!m.replicated_build_wins(1e4, 1e6, 1e4, 4, 0.9));
     }
 }

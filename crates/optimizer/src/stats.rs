@@ -322,30 +322,21 @@ fn estimate_node(plan: &PhysPlan, idx: usize, ests: &[NodeEst]) -> NodeEst {
         PhysKind::ShuffleRead { mesh, dop, .. } => {
             // Each reader owns 1/dop of the mesh's total rows, which is
             // the sum over the mesh's writers (all of which precede every
-            // reader in arena order, so their estimates exist). A salted
-            // broadcast mesh replicates its hot share to *every* reader,
-            // so each reader holds `cold/dop + hot` of the stream (the
-            // all-hot fallback degenerates to the full stream).
+            // reader in arena order, so their estimates exist).
             let mut total = 0.0f64;
-            let mut broadcast_hot = 0.0f64;
             let mut cols: FxHashMap<sip_common::AttrId, ColMeta> = FxHashMap::default();
             for w in &plan.nodes {
-                if let PhysKind::ShuffleWrite { mesh: m, salt, .. } = &w.kind {
+                if let PhysKind::ShuffleWrite { mesh: m, .. } = &w.kind {
                     if m == mesh {
                         let west = &ests[w.id.index()];
                         total += west.rows;
-                        if let Some(s) = salt {
-                            if s.role == sip_engine::SaltRole::Broadcast {
-                                broadcast_hot = broadcast_hot.max(s.hot_coverage.clamp(0.0, 1.0));
-                            }
-                        }
                         for (a, meta) in west.cols.iter() {
                             cols.entry(*a).or_insert_with(|| meta.clone());
                         }
                     }
                 }
             }
-            let rows = total * ((1.0 - broadcast_hot) / (*dop).max(1) as f64 + broadcast_hot);
+            let rows = total / (*dop).max(1) as f64;
             let cols = cols
                 .into_iter()
                 .map(|(a, m)| (a, m.scaled(total.max(1.0), rows)))

@@ -2,7 +2,7 @@
 
 use crate::partition::{partition_plan_cfg, PartitionError};
 use crate::shuffle::PartitionConfig;
-use sip_common::Result;
+use sip_common::{Result, SipError};
 use sip_engine::{
     execute_ctx, execute_with_recovery, run_with_recovery, ExecContext, ExecMonitor, ExecOptions,
     PartitionMap, PhysPlan, QueryOutput,
@@ -57,22 +57,15 @@ impl PartitionedExec {
 
     /// Execute `plan`, partition-parallel when possible, serial otherwise.
     /// Returns the output together with the [`PartitionMap`] actually used
-    /// (`None` = the serial fallback ran).
-    ///
-    /// [`ExecOptions::merge_fanin`] (when `>= 2`) overrides the config's
-    /// merge-tree fan-in, so runtime callers can reshape the merge tail
-    /// without constructing a [`PartitionConfig`].
+    /// (`None` = the serial fallback ran). An invalid [`PartitionConfig`]
+    /// is a configuration error, not a reason to fall back.
     pub fn execute(
         &self,
         plan: Arc<PhysPlan>,
         monitor: Arc<dyn ExecMonitor>,
         options: ExecOptions,
     ) -> Result<(QueryOutput, Option<Arc<PartitionMap>>)> {
-        let mut cfg = self.config.clone();
-        if options.merge_fanin >= 2 {
-            cfg.merge_fanin = options.merge_fanin as u32;
-        }
-        match partition_plan_cfg(&plan, self.dop, &cfg) {
+        match partition_plan_cfg(&plan, self.dop, &self.config) {
             Ok((expanded, map)) => {
                 // Run-level recovery scope: the expanded plan and partition
                 // map are reused verbatim across attempts (expansion is
@@ -85,6 +78,7 @@ impl PartitionedExec {
                 })?;
                 Ok((out, Some(map)))
             }
+            Err(PartitionError::InvalidConfig(why)) => Err(SipError::Config(why.into())),
             Err(_) => Ok((execute_with_recovery(plan, monitor, options)?, None)),
         }
     }

@@ -31,6 +31,12 @@
 //!    and OR-merged (`AipSet::union`) into an unscoped plan-wide filter
 //!    once every partition has reported.
 //!
+//! Shuffled joins route by key hash only. A hot key lands on one
+//! partition; the cost model prices that skew
+//! ([`sip_optimizer::CostModel::repartition_wins_skewed`]) when it weighs
+//! a shuffle against the serial fallback, but no row is ever routed
+//! outside the hash invariant.
+//!
 //! Expansion is *correctness-conservative*: joins partition only when
 //! their keys provably co-locate matching rows (shuffling when they do
 //! not), aggregates either group by their stream's class, split into
@@ -46,4 +52,4 @@ pub mod exec;
 
 pub use exec::PartitionedExec;
 pub use partition::{partition_plan, partition_plan_cfg, PartitionError};
-pub use shuffle::{PartitionConfig, SaltConfig};
+pub use shuffle::PartitionConfig;

@@ -12,9 +12,7 @@
 
 use crate::shuffle::{plan_join_alignment, Alignment, JoinEst, KeyPair, PartitionConfig};
 use sip_common::{AttrId, FxHashMap, FxHashSet, OpId};
-use sip_engine::{
-    PartitionMap, PhysKind, PhysNode, PhysPlan, SaltRole, SaltSpec, SaltedKeys, ScanPartition,
-};
+use sip_engine::{PartitionMap, PhysKind, PhysNode, PhysPlan, ScanPartition};
 use sip_expr::{AggFunc, Expr};
 use sip_optimizer::Estimator;
 use sip_plan::UnionFind;
@@ -32,6 +30,8 @@ pub enum PartitionError {
     /// The plan contains operators that cannot be cloned across partitions
     /// (already-expanded plans must not be expanded again).
     Unsupported(&'static str),
+    /// The [`PartitionConfig`] holds a value expansion cannot honour.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for PartitionError {
@@ -44,6 +44,7 @@ impl fmt::Display for PartitionError {
             PartitionError::Unsupported(what) => {
                 write!(f, "plan contains unpartitionable operator: {what}")
             }
+            PartitionError::InvalidConfig(why) => write!(f, "invalid partition config: {why}"),
         }
     }
 }
@@ -75,6 +76,7 @@ pub fn partition_plan_cfg(
     if dop < 2 {
         return Err(PartitionError::DopTooSmall);
     }
+    let fanin = resolve_fanin(cfg.merge_fanin, dop)?;
     for node in &plan.nodes {
         match node.kind {
             PhysKind::Exchange { .. }
@@ -91,6 +93,7 @@ pub fn partition_plan_cfg(
         old: plan,
         dop,
         cfg,
+        fanin,
         est: Estimator::estimate(plan),
         analysis,
         nodes: Vec::new(),
@@ -98,10 +101,8 @@ pub fn partition_plan_cfg(
         logical_of: Vec::new(),
         op_class: Vec::new(),
         classes: Vec::new(),
-        salted_classes: FxHashMap::default(),
         partial_aggs: FxHashMap::default(),
         next_mesh: 0,
-        rowid_hint: false,
         made_parallel: false,
     };
     let built = ex.build(plan.root);
@@ -116,7 +117,6 @@ pub fn partition_plan_cfg(
         class_attrs: ex.analysis.primary,
         op_class: ex.op_class,
         classes: ex.classes,
-        salted: ex.salted_classes,
         partial_agg_group_cols: ex.partial_aggs,
     };
     let expanded = PhysPlan::from_nodes(ex.nodes, root, plan.attrs.clone())
@@ -221,51 +221,6 @@ impl JoinAnalysis {
 struct Stream {
     clones: Vec<OpId>,
     class: FxHashSet<AttrId>,
-    /// Key digests a salted shuffle routed outside the hash invariant
-    /// (scattered probe rows / replicated build rows). `None` = strict.
-    /// A salted stream's `class` is still claimed for AIP scoping — scoped
-    /// filters carry the exemption — but planning decisions that need the
-    /// strict invariant (join co-location, aggregate/distinct finality,
-    /// replica Exchange pruning) must treat the stream as class-less via
-    /// [`Stream::strict_class`].
-    salted: Option<Arc<SaltedKeys>>,
-}
-
-impl Stream {
-    fn strict(clones: Vec<OpId>, class: FxHashSet<AttrId>) -> Stream {
-        Stream {
-            clones,
-            class,
-            salted: None,
-        }
-    }
-
-    /// The attributes whose values provably obey the partition-hash
-    /// invariant for *every* row of the stream — empty when salted keys
-    /// break the invariant for part of the key domain.
-    fn strict_class(&self) -> &FxHashSet<AttrId> {
-        static EMPTY: std::sync::OnceLock<FxHashSet<AttrId>> = std::sync::OnceLock::new();
-        if self.salted.is_none() {
-            &self.class
-        } else {
-            EMPTY.get_or_init(FxHashSet::default)
-        }
-    }
-}
-
-/// The salted-routing decision for one shuffled join, made before its
-/// inputs are built so the scatter side's scans can split by rowid.
-struct SaltPlan {
-    /// Hot-key digests shared by the scatter and broadcast meshes
-    /// (`SaltedKeys::All` = replicated-build fallback).
-    keys: Arc<SaltedKeys>,
-    /// The key pair both meshes route on.
-    pair: usize,
-    /// Scatter the left input (true) or the right (false).
-    scatter_left: bool,
-    /// Estimated fraction of rows the salted keys cover (1.0 for the
-    /// all-hot fallback); carried into [`SaltSpec`] for the estimator.
-    coverage: f64,
 }
 
 /// The result of expanding one source subtree.
@@ -283,6 +238,8 @@ struct Expander<'a> {
     old: &'a PhysPlan,
     dop: u32,
     cfg: &'a PartitionConfig,
+    /// Merge-tree fan-in ([`resolve_fanin`]).
+    fanin: usize,
     est: Estimator,
     analysis: JoinAnalysis,
     nodes: Vec<PhysNode>,
@@ -290,17 +247,9 @@ struct Expander<'a> {
     logical_of: Vec<OpId>,
     op_class: Vec<Option<u32>>,
     classes: Vec<FxHashSet<AttrId>>,
-    /// Interned-class id → salted digests routed outside its invariant.
-    salted_classes: FxHashMap<u32, Arc<SaltedKeys>>,
     /// Partial-aggregate clones and their feeding Merge → group-col count.
     partial_aggs: FxHashMap<u32, usize>,
     next_mesh: u32,
-    /// Split scans by row index instead of key hash while building the
-    /// scatter side of a salted join: the mesh above re-deals every row
-    /// anyway, and a rowid split keeps a skewed (possibly delay-modeled)
-    /// source balanced across partitions instead of concentrating the hot
-    /// key's shipping cost on one scan.
-    rowid_hint: bool,
     made_parallel: bool,
 }
 
@@ -333,30 +282,11 @@ impl Expander<'_> {
         if class.is_empty() {
             return None;
         }
-        if let Some(i) = self
-            .classes
-            .iter()
-            .position(|c| c == class)
-            .filter(|i| !self.salted_classes.contains_key(&(*i as u32)))
-        {
+        if let Some(i) = self.classes.iter().position(|c| c == class) {
             return Some(i as u32);
         }
         self.classes.push(class.clone());
         Some((self.classes.len() - 1) as u32)
-    }
-
-    /// Intern a *salted* partitioning class: always a fresh entry, never
-    /// deduped against a strict class over the same attributes, so the
-    /// exemption set attaches exactly to the streams the salted mesh
-    /// produced (`PartitionMap::salted_at`).
-    fn intern_salted(&mut self, class: &FxHashSet<AttrId>, keys: &Arc<SaltedKeys>) -> Option<u32> {
-        if class.is_empty() {
-            return None;
-        }
-        self.classes.push(class.clone());
-        let id = (self.classes.len() - 1) as u32;
-        self.salted_classes.insert(id, Arc::clone(keys));
-        Some(id)
     }
 
     fn new_mesh(&mut self) -> u32 {
@@ -415,27 +345,8 @@ impl Expander<'_> {
         }
     }
 
-    /// The effective merge fan-in: an explicit `PartitionConfig::merge_fanin`
-    /// of at least 2 wins; auto (`0`) keeps the flat single merge up to
-    /// dop 4 and switches to a binary tree above, where one merge thread's
-    /// per-batch work (select across `dop` channels, counters, emit)
-    /// becomes the serial bottleneck of large outputs.
-    fn resolve_fanin(&self) -> usize {
-        match self.cfg.merge_fanin {
-            0 => {
-                if self.dop > 4 {
-                    2
-                } else {
-                    usize::MAX
-                }
-            }
-            1 => usize::MAX, // degenerate: treat as flat
-            f => f as usize,
-        }
-    }
-
     /// Union `clones` into one stream through a tree of [`PhysKind::Merge`]
-    /// operators with at most [`Expander::resolve_fanin`] inputs each,
+    /// operators with at most [`Expander::fanin`] inputs each,
     /// built bottom-up. An odd tail clone is passed through to the next
     /// level rather than wrapped in a useless 1-ary merge. All tree nodes
     /// belong to the serial section (`partition = None`); when the merged
@@ -448,7 +359,7 @@ impl Expander<'_> {
         logical: OpId,
         partial_agg_groups: Option<usize>,
     ) -> OpId {
-        let fanin = self.resolve_fanin().max(2);
+        let fanin = self.fanin;
         let mut level = clones;
         while level.len() > fanin {
             let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
@@ -504,51 +415,12 @@ impl Expander<'_> {
     /// oracle can materialize the mesh bottom-up; reader `p` takes writer
     /// `p` as its tree input so the plan stays a tree.
     fn shuffle_stream(&mut self, stream: Stream, col: usize, logical: OpId) -> Stream {
-        self.shuffle_stream_salted(stream, col, logical, None)
-    }
-
-    /// [`Expander::shuffle_stream`] with optional skew-adaptive routing.
-    /// A salted mesh's output claims its routing class *with* the salted
-    /// digests registered ([`PartitionMap::salted_at`]): AIP scoping works
-    /// through the exemption, while planning treats the stream as
-    /// class-less ([`Stream::strict_class`]). The all-hot fallback
-    /// (`SaltedKeys::All`) claims no class at all — nothing about its
-    /// placement is hash-derived.
-    fn shuffle_stream_salted(
-        &mut self,
-        stream: Stream,
-        col: usize,
-        logical: OpId,
-        salt: Option<SaltSpec>,
-    ) -> Stream {
         let mesh = self.new_mesh();
         let dop = self.dop;
         let layout = self.nodes[stream.clones[0].index()].layout.clone();
-        let old_cid = match &stream.salted {
-            // Preserve the input stream's own salted claim for AIP.
-            Some(keys) => {
-                let keys = Arc::clone(keys);
-                self.intern_salted(&stream.class, &keys)
-            }
-            None => self.intern(&stream.class),
-        };
-        let (new_class, new_cid, out_salted) = match &salt {
-            None => {
-                let class: FxHashSet<AttrId> = std::iter::once(layout[col]).collect();
-                let cid = self.intern(&class);
-                (class, cid, None)
-            }
-            Some(spec) if spec.keys.len().is_none() => {
-                // Replicated-build fallback: every key routes outside the
-                // hash invariant; no class claim survives.
-                (FxHashSet::default(), None, Some(Arc::clone(&spec.keys)))
-            }
-            Some(spec) => {
-                let class: FxHashSet<AttrId> = std::iter::once(layout[col]).collect();
-                let cid = self.intern_salted(&class, &spec.keys);
-                (class, cid, Some(Arc::clone(&spec.keys)))
-            }
-        };
+        let old_cid = self.intern(&stream.class);
+        let new_class: FxHashSet<AttrId> = std::iter::once(layout[col]).collect();
+        let new_cid = self.intern(&new_class);
         let writers: Vec<OpId> = stream
             .clones
             .into_iter()
@@ -560,7 +432,6 @@ impl Expander<'_> {
                         col,
                         writer: p as u32,
                         dop,
-                        salt: salt.clone(),
                     },
                     vec![c],
                     layout.clone(),
@@ -590,7 +461,6 @@ impl Expander<'_> {
         Stream {
             clones,
             class: new_class,
-            salted: out_salted,
         }
     }
 
@@ -610,7 +480,6 @@ impl Expander<'_> {
                 col,
                 writer: 0,
                 dop,
-                salt: None,
             },
             vec![instance],
             layout.clone(),
@@ -638,7 +507,10 @@ impl Expander<'_> {
                 )
             })
             .collect();
-        Stream::strict(clones, new_class)
+        Stream {
+            clones,
+            class: new_class,
+        }
     }
 
     /// The partitioning class of a co-located join's output: surviving
@@ -672,11 +544,7 @@ impl Expander<'_> {
     }
 
     /// Emit per-partition clones of a binary operator over two co-located
-    /// streams (in original input order). Salted inputs (the scatter /
-    /// broadcast meshes of a salted join) taint the output: its class is
-    /// still claimed for AIP scoping — with the merged exemption set —
-    /// but upstream placement of salted keys is arbitrary, so the stream
-    /// reports no strict class to later planning.
+    /// streams (in original input order).
     fn emit_colocated(
         &mut self,
         op: OpId,
@@ -688,24 +556,7 @@ impl Expander<'_> {
         let node = self.old.node(op);
         let (kind, layout) = (node.kind.clone(), node.layout.clone());
         let class = self.join_out_class(op, &ls.class, &rs.class, pairs, is_semi);
-        let salted = match (&ls.salted, &rs.salted) {
-            (None, None) => None,
-            (Some(a), None) => Some(Arc::clone(a)),
-            (None, Some(b)) => Some(Arc::clone(b)),
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => Some(Arc::clone(a)),
-            (Some(a), Some(b)) => {
-                let mut merged = (**a).clone();
-                merged.merge(b);
-                Some(Arc::new(merged))
-            }
-        };
-        let cid = match &salted {
-            Some(keys) => {
-                let keys = Arc::clone(keys);
-                self.intern_salted(&class, &keys)
-            }
-            None => self.intern(&class),
-        };
+        let cid = self.intern(&class);
         let clones = ls
             .clones
             .into_iter()
@@ -722,11 +573,7 @@ impl Expander<'_> {
                 )
             })
             .collect();
-        Built::Parts(Stream {
-            clones,
-            class,
-            salted,
-        })
+        Built::Parts(Stream { clones, class })
     }
 
     /// Merge both sides and run the operator serially (the pre-shuffle
@@ -746,17 +593,7 @@ impl Expander<'_> {
             PhysKind::Scan { .. } => match self.scan_key(node) {
                 Some(col) => {
                     self.made_parallel = true;
-                    // Under the salted-scatter rowid hint the split is by
-                    // row index — perfectly balanced however the keys are
-                    // distributed, but upholding no hash invariant (empty
-                    // class). Sound only because the salted mesh above
-                    // re-deals every row anyway.
-                    let rowid = self.rowid_hint;
-                    let class: FxHashSet<AttrId> = if rowid {
-                        FxHashSet::default()
-                    } else {
-                        std::iter::once(node.layout[col]).collect()
-                    };
+                    let class: FxHashSet<AttrId> = std::iter::once(node.layout[col]).collect();
                     let cid = self.intern(&class);
                     let (kind0, layout) = (node.kind.clone(), node.layout.clone());
                     let clones = (0..self.dop)
@@ -767,13 +604,12 @@ impl Expander<'_> {
                                     col,
                                     partition: p,
                                     dop: self.dop,
-                                    rowid,
                                 });
                             }
                             self.push(kind, vec![], layout.clone(), Some(p), op, cid)
                         })
                         .collect();
-                    Built::Parts(Stream::strict(clones, class))
+                    Built::Parts(Stream { clones, class })
                 }
                 None => Built::Replicable(op),
             },
@@ -782,23 +618,12 @@ impl Expander<'_> {
                 match self.build(node.inputs[0]) {
                     Built::Parts(s) => {
                         // A projection keeps only the class attributes it
-                        // re-exposes; a filter keeps them all. The salted
-                        // exemption rides along unchanged.
+                        // re-exposes; a filter keeps them all.
                         let mut class = s.class;
                         class.retain(|a| out_layout.contains(a));
-                        let cid = match &s.salted {
-                            Some(keys) => {
-                                let keys = Arc::clone(keys);
-                                self.intern_salted(&class, &keys)
-                            }
-                            None => self.intern(&class),
-                        };
+                        let cid = self.intern(&class);
                         let clones = self.map_clones(op, s.clones, cid);
-                        Built::Parts(Stream {
-                            clones,
-                            class,
-                            salted: s.salted,
-                        })
+                        Built::Parts(Stream { clones, class })
                     }
                     Built::Replicable(_) => Built::Replicable(op),
                     Built::Single(c) => {
@@ -817,12 +642,9 @@ impl Expander<'_> {
                 let (kind, out_layout) = (node.kind.clone(), node.layout.clone());
                 match self.build(node.inputs[0]) {
                     Built::Parts(mut s) => {
-                        // Strict class only: a salted stream scatters rows
-                        // of hot keys arbitrarily, so per-partition groups
-                        // over them would not be final.
                         let mut grouped_by_class = group_cols
                             .iter()
-                            .any(|&g| s.strict_class().contains(&child_layout[g]));
+                            .any(|&g| s.class.contains(&child_layout[g]));
                         if !grouped_by_class && self.cfg.shuffle {
                             // The group key is off the stream's class, but
                             // when it is a join-key attribute the aggregate
@@ -859,7 +681,7 @@ impl Expander<'_> {
                             class.retain(|a| out_layout.contains(a));
                             let cid = self.intern(&class);
                             let clones = self.map_clones(op, s.clones, cid);
-                            Built::Parts(Stream::strict(clones, class))
+                            Built::Parts(Stream { clones, class })
                         } else if let Some(funcs) = merge_funcs {
                             // Partial aggregate per partition, merged, then
                             // a final aggregate combining partial states.
@@ -918,8 +740,7 @@ impl Expander<'_> {
                 let out_layout = node.layout.clone();
                 match self.build(node.inputs[0]) {
                     Built::Parts(mut s) => {
-                        if s.strict_class().is_empty() && self.cfg.shuffle && !out_layout.is_empty()
-                        {
+                        if s.class.is_empty() && self.cfg.shuffle && !out_layout.is_empty() {
                             // Duplicates agree on every column, so hashing
                             // *any* column co-locates them; prefer a
                             // join-key attribute (highest class score) so
@@ -939,15 +760,15 @@ impl Expander<'_> {
                                 s = self.shuffle_stream(s, col, node.inputs[0]);
                             }
                         }
-                        if !s.strict_class().is_empty() {
+                        if !s.class.is_empty() {
                             // Rows equal on every column agree on the class
                             // attribute, so duplicates share a partition.
-                            // (Strict only: a salted stream may scatter
-                            // identical hot-key rows to different
-                            // partitions.)
                             let cid = self.intern(&s.class);
                             let clones = self.map_clones(op, s.clones, cid);
-                            Built::Parts(Stream::strict(clones, s.class))
+                            Built::Parts(Stream {
+                                clones,
+                                class: s.class,
+                            })
                         } else {
                             // Partial dedup per partition shrinks the merge;
                             // the serial distinct finishes the job.
@@ -1012,25 +833,9 @@ impl Expander<'_> {
                 r_attr: rl[rp],
             })
             .collect();
-        // Salting is decided *before* the inputs are built: the scatter
-        // side's scans can then split by rowid (balanced source shipping)
-        // because the salted mesh re-deals every row above them.
-        let salt = self.plan_salt(op, l_old, r_old, &pairs, is_semi);
-        let (l, r) = match &salt {
-            Some(sp) => {
-                let hint_left = sp.scatter_left && self.scan_chain_only(l_old);
-                let hint_right = !sp.scatter_left && self.scan_chain_only(r_old);
-                let l = self.build_with_hint(l_old, hint_left);
-                let r = self.build_with_hint(r_old, hint_right);
-                (l, r)
-            }
-            None => (self.build(l_old), self.build(r_old)),
-        };
+        let (l, r) = (self.build(l_old), self.build(r_old));
         match (l, r) {
             (Built::Parts(ls), Built::Parts(rs)) => {
-                if let Some(sp) = salt {
-                    return self.emit_salted(op, l_old, r_old, ls, rs, &pairs, is_semi, sp);
-                }
                 self.join_parts(op, l_old, r_old, ls, rs, &pairs, is_semi)
             }
             (Built::Parts(s), Built::Replicable(rep)) => {
@@ -1041,29 +846,6 @@ impl Expander<'_> {
             }
             (Built::Replicable(_), Built::Replicable(_)) => Built::Replicable(op),
             (l, r) => self.serial_binary(op, l_old, r_old, l, r),
-        }
-    }
-
-    /// Build a subtree with the rowid-split scan hint toggled.
-    fn build_with_hint(&mut self, op: OpId, rowid: bool) -> Built {
-        let prev = self.rowid_hint;
-        self.rowid_hint = rowid;
-        let built = self.build(op);
-        self.rowid_hint = prev;
-        built
-    }
-
-    /// Is `op` a pure scan chain (scan + stateless operators only)? Only
-    /// such subtrees take the rowid hint — anything stateful below would
-    /// itself depend on the partitioning class the hint erases.
-    fn scan_chain_only(&self, op: OpId) -> bool {
-        let node = self.old.node(op);
-        match &node.kind {
-            PhysKind::Scan { .. } => true,
-            PhysKind::Filter { .. } | PhysKind::Project { .. } => {
-                self.scan_chain_only(node.inputs[0])
-            }
-            _ => false,
         }
     }
 
@@ -1091,174 +873,6 @@ impl Expander<'_> {
             .fold(0.0, f64::max)
     }
 
-    /// Hot digests of `attr`'s base column: every stored heavy hitter
-    /// (`ColumnStats::hot` — exact counts computed once at table load,
-    /// heaviest first, deterministic) whose frequency reaches the hot
-    /// threshold (`hot_factor / dop` of the table), capped at
-    /// `max_hot_keys`. Returns the digests and the fraction of rows they
-    /// cover. O(stored hitters) — never a table scan at plan time.
-    fn hot_digests(&self, attr: AttrId) -> Option<(FxHashSet<u64>, f64)> {
-        let sc = &self.cfg.salt;
-        for node in &self.old.nodes {
-            let PhysKind::Scan { table, cols, .. } = &node.kind else {
-                continue;
-            };
-            let Some(pos) = node.layout.iter().position(|a| *a == attr) else {
-                continue;
-            };
-            let n = table.len();
-            if n == 0 {
-                return None;
-            }
-            let threshold = ((sc.hot_factor * n as f64 / self.dop as f64).ceil() as u64).max(2);
-            let stats = &table.meta().column_stats[cols[pos]];
-            if stats.max_freq < threshold {
-                return None; // nothing can be hot
-            }
-            let hot: Vec<(u64, u64)> = stats
-                .hot
-                .iter()
-                .copied()
-                .filter(|&(_, c)| c >= threshold)
-                .take(sc.max_hot_keys)
-                .collect();
-            if hot.is_empty() {
-                return None;
-            }
-            let covered: u64 = hot.iter().map(|&(_, c)| c).sum();
-            let coverage = covered as f64 / n as f64;
-            return Some((hot.into_iter().map(|(d, _)| d).collect(), coverage));
-        }
-        None
-    }
-
-    /// Decide whether (and how) to salt a shuffled join. Fires when the
-    /// scatter side's join key has a base-table heavy hitter crossing
-    /// [`crate::SaltConfig::hot_factor`] and the cost model prices the
-    /// salted plan below the skew-stalled hash plan (`force` bypasses the
-    /// cost gate, not the hot threshold). High hot coverage escalates to
-    /// the replicated-build fallback.
-    fn plan_salt(
-        &self,
-        op: OpId,
-        l_old: OpId,
-        r_old: OpId,
-        pairs: &[KeyPair],
-        is_semi: bool,
-    ) -> Option<SaltPlan> {
-        let sc = &self.cfg.salt;
-        if !sc.enabled || !self.cfg.shuffle || pairs.is_empty() {
-            return None;
-        }
-        let l_rows = self.est.node(l_old).rows;
-        let r_rows = self.est.node(r_old).rows;
-        let out_rows = self.est.node(op).rows;
-        // The scatter side must be emitted exactly once, so a semijoin
-        // scatters its probe; a hash join scatters the larger side and
-        // replicates the smaller one's hot rows.
-        let scatter_left = if is_semi { true } else { l_rows >= r_rows };
-        let dop_f = self.dop as f64;
-        for (i, p) in pairs.iter().enumerate() {
-            let attr = if scatter_left { p.l_attr } else { p.r_attr };
-            let hot_frac = self.base_hot_fraction(attr);
-            if hot_frac * dop_f < sc.hot_factor {
-                continue;
-            }
-            let Some((digests, coverage)) = self.hot_digests(attr) else {
-                continue;
-            };
-            let (scatter_rows, build_rows) = if scatter_left {
-                (l_rows, r_rows)
-            } else {
-                (r_rows, l_rows)
-            };
-            let all_hot = coverage >= sc.replicate_coverage;
-            let pays = if all_hot {
-                self.cfg.cost.replicated_build_wins(
-                    scatter_rows,
-                    build_rows,
-                    out_rows,
-                    self.dop,
-                    hot_frac,
-                )
-            } else {
-                // `extra_moved`: salting is decided before the inputs are
-                // built, so the unsalted alignment (and how many rows it
-                // would move anyway) is unknown here. Charging only the
-                // scatter side nets the two plans' mesh hops against each
-                // other in the common misaligned case (the unsalted plan
-                // would shuffle one side too); in the co-located case it
-                // undercharges by one hop, which is exactly where the
-                // skew penalty dominates anyway.
-                self.cfg.cost.salting_wins(
-                    scatter_rows,
-                    build_rows,
-                    out_rows,
-                    scatter_rows,
-                    self.dop,
-                    hot_frac,
-                )
-            };
-            if !sc.force && !pays {
-                continue;
-            }
-            let (keys, coverage) = if all_hot {
-                (Arc::new(SaltedKeys::All), 1.0)
-            } else {
-                (SaltedKeys::from_digests(digests), coverage)
-            };
-            return Some(SaltPlan {
-                keys,
-                pair: i,
-                scatter_left,
-                coverage,
-            });
-        }
-        None
-    }
-
-    /// Emit a skew-adaptive join: both inputs cross salted meshes sharing
-    /// one hot-key set — `Scatter` (hot rows dealt round-robin) on the
-    /// probe/large side, `Broadcast` (hot rows replicated) on the build
-    /// side — then the join runs per partition as if co-located. Correct
-    /// because every scattered probe row meets every matching build row
-    /// exactly once: cold keys co-locate by hash, and a salted key's build
-    /// rows exist in whichever partition its probe rows landed in.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_salted(
-        &mut self,
-        op: OpId,
-        l_old: OpId,
-        r_old: OpId,
-        ls: Stream,
-        rs: Stream,
-        pairs: &[KeyPair],
-        is_semi: bool,
-        sp: SaltPlan,
-    ) -> Built {
-        let pair = &pairs[sp.pair];
-        let scatter = SaltSpec {
-            keys: Arc::clone(&sp.keys),
-            role: SaltRole::Scatter,
-            hot_coverage: sp.coverage,
-        };
-        let bcast = SaltSpec {
-            keys: Arc::clone(&sp.keys),
-            role: SaltRole::Broadcast,
-            hot_coverage: sp.coverage,
-        };
-        let (ls, rs) = if sp.scatter_left {
-            let l = self.shuffle_stream_salted(ls, pair.l_pos, l_old, Some(scatter));
-            let r = self.shuffle_stream_salted(rs, pair.r_pos, r_old, Some(bcast));
-            (l, r)
-        } else {
-            let l = self.shuffle_stream_salted(ls, pair.l_pos, l_old, Some(bcast));
-            let r = self.shuffle_stream_salted(rs, pair.r_pos, r_old, Some(scatter));
-            (l, r)
-        };
-        self.emit_colocated(op, ls, rs, pairs, is_semi)
-    }
-
     /// Both inputs partitioned: co-locate them, shuffling one or both
     /// sides when their classes do not align on any key pair.
     #[allow(clippy::too_many_arguments)]
@@ -1278,18 +892,7 @@ impl Expander<'_> {
             out: self.est.node(op).rows,
             hot_frac: self.pairs_hot_frac(pairs),
         };
-        // Strict classes only: a salted input stream holds no invariant
-        // for its hot keys, so it can never count as already-aligned; the
-        // shuffle it then takes re-deals every row by hash, washing the
-        // salt out.
-        let alignment = plan_join_alignment(
-            pairs,
-            ls.strict_class(),
-            rs.strict_class(),
-            est,
-            self.dop,
-            self.cfg,
-        );
+        let alignment = plan_join_alignment(pairs, &ls.class, &rs.class, est, self.dop, self.cfg);
         match alignment {
             Alignment::Serial => {
                 self.serial_binary(op, l_old, r_old, Built::Parts(ls), Built::Parts(rs))
@@ -1342,10 +945,7 @@ impl Expander<'_> {
         } else {
             (l_old, r_old)
         };
-        // Strict class only: a salted stream counts as unaligned.
-        let aligned = pairs
-            .iter()
-            .position(|p| s.strict_class().contains(&stream_attr(p)));
+        let aligned = pairs.iter().position(|p| s.class.contains(&stream_attr(p)));
         let rep_rows = self.est.node(rep).rows;
         let s_rows = self.est.node(s_old).rows;
         let out_rows = self.est.node(op).rows;
@@ -1450,14 +1050,7 @@ impl Expander<'_> {
         } else {
             self.join_out_class(op, &stream.class, &rep_class, pairs, is_semi)
         };
-        let salted = stream.salted.clone();
-        let cid = match &salted {
-            Some(keys) => {
-                let keys = Arc::clone(keys);
-                self.intern_salted(&class, &keys)
-            }
-            None => self.intern(&class),
-        };
+        let cid = self.intern(&class);
         let ex_cid = self.intern(&rep_class);
         let clones = stream
             .clones
@@ -1488,11 +1081,23 @@ impl Expander<'_> {
                 self.push(kind.clone(), inputs, layout.clone(), Some(p32), op, cid)
             })
             .collect();
-        Built::Parts(Stream {
-            clones,
-            class,
-            salted,
-        })
+        Built::Parts(Stream { clones, class })
+    }
+}
+
+/// The effective merge fan-in: an explicit `PartitionConfig::merge_fanin`
+/// of at least 2 wins; auto (`0`) keeps the flat single merge up to dop 4
+/// and switches to a binary tree above, where one merge thread's per-batch
+/// work (select across `dop` channels, counters, emit) becomes the serial
+/// bottleneck of large outputs. A fan-in of 1 is rejected.
+fn resolve_fanin(fanin: u32, dop: u32) -> Result<usize, PartitionError> {
+    match fanin {
+        0 if dop > 4 => Ok(2),
+        0 => Ok(usize::MAX),
+        1 => Err(PartitionError::InvalidConfig(
+            "merge_fanin must be 0 (auto) or at least 2 (a 1-ary merge tree cannot terminate)",
+        )),
+        f => Ok(f as usize),
     }
 }
 
@@ -1669,6 +1274,36 @@ mod tests {
     }
 
     #[test]
+    fn merge_fanin_one_is_rejected() {
+        let c = catalog();
+        let plan = partkey_plan(&c);
+        let with = |merge_fanin: u32| PartitionConfig {
+            merge_fanin,
+            ..Default::default()
+        };
+        for fanin in [0u32, 2, 8] {
+            assert!(
+                partition_plan_cfg(&plan, 4, &with(fanin)).is_ok(),
+                "fanin {fanin}"
+            );
+        }
+        assert!(matches!(
+            partition_plan_cfg(&plan, 4, &with(1)),
+            Err(PartitionError::InvalidConfig(_))
+        ));
+        // The executor reports it as a configuration error instead of
+        // silently falling back to a serial run.
+        let err = crate::PartitionedExec::with_config(4, with(1))
+            .execute(
+                Arc::new(plan),
+                Arc::new(sip_engine::NoopMonitor),
+                sip_engine::ExecOptions::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.layer(), "config");
+    }
+
+    #[test]
     fn partial_aggregate_merge_tree_is_flagged_unfilterable() {
         // Global SUM at dop 8: partial aggregates per partition, a binary
         // merge tree, then the final merge aggregate. Every tree node
@@ -1702,180 +1337,6 @@ mod tests {
             }
         }
         assert_eq!(tree_merges, 7, "{}", expanded.display());
-        assert_eq!(canonical(&execute_oracle(&expanded).unwrap()), expected);
-    }
-
-    /// The salt planner end to end on a plan that would otherwise
-    /// co-locate: a 60%-hot join key crosses the default threshold, so
-    /// both sides cross salted meshes (scatter on the fact, broadcast on
-    /// the dimension) sharing one hot-key set, the fact's scans split by
-    /// rowid, the `PartitionMap` records the exemption digests, and the
-    /// result multiset matches the serial oracle. With salting disabled
-    /// the same plan co-locates with no mesh at all.
-    #[test]
-    fn skewed_join_salts_both_meshes_and_matches_oracle() {
-        let int = |n: &str| Field::new(n, DataType::Int);
-        let mut c = Catalog::new();
-        let fact_rows: Vec<Row> = (0..400)
-            .map(|i| {
-                let b = if i < 240 { 7 } else { i % 40 };
-                Row::new(vec![Value::Int(i), Value::Int(b)])
-            })
-            .collect();
-        c.add(
-            Table::new(
-                "fact",
-                Schema::new(vec![int("a"), int("b")]),
-                vec![],
-                vec![],
-                fact_rows,
-            )
-            .unwrap(),
-        );
-        c.add(
-            Table::new(
-                "dim",
-                Schema::new(vec![int("k")]),
-                vec![],
-                vec![],
-                (0..40).map(|k| Row::new(vec![Value::Int(k)])).collect(),
-            )
-            .unwrap(),
-        );
-        let mut q = QueryBuilder::new(&c);
-        let f = q.scan("fact", "f", &["a", "b"]).unwrap();
-        let d = q.scan("dim", "d", &["k"]).unwrap();
-        let j = q.join(f, d, &[("f.b", "d.k")]).unwrap();
-        let phys = lower(&j.into_plan(), q.into_attrs(), &c).unwrap();
-        let expected = canonical(&execute_oracle(&phys).unwrap());
-
-        let (expanded, map) = partition_plan(&phys, 4).unwrap();
-        expanded.validate().unwrap();
-        assert_eq!(canonical(&execute_oracle(&expanded).unwrap()), expected);
-        let hot_digest = sip_common::hash_key(&[Value::Int(7)]);
-        let (mut scatter, mut broadcast) = (0usize, 0usize);
-        for n in &expanded.nodes {
-            if let PhysKind::ShuffleWrite { salt: Some(s), .. } = &n.kind {
-                assert!(s.keys.covers(hot_digest), "hot key missing from salt");
-                assert_eq!(s.keys.len(), Some(1), "only the hot key salts");
-                match s.role {
-                    sip_engine::SaltRole::Scatter => scatter += 1,
-                    sip_engine::SaltRole::Broadcast => broadcast += 1,
-                }
-            }
-        }
-        assert_eq!(
-            (scatter, broadcast),
-            (4, 4),
-            "one scatter + one broadcast mesh of 4 writers each\n{}",
-            expanded.display()
-        );
-        // The scatter side's scans split by rowid (balanced source);
-        // the broadcast side's stay hash-split.
-        for n in &expanded.nodes {
-            if let PhysKind::Scan {
-                part: Some(p),
-                table,
-                ..
-            } = &n.kind
-            {
-                assert_eq!(
-                    p.rowid,
-                    table.name() == "fact",
-                    "wrong split mode for {}",
-                    table.name()
-                );
-            }
-        }
-        // The exemption digests are reachable from the salted meshes'
-        // output streams.
-        assert!(!map.salted.is_empty(), "PartitionMap lost the salt set");
-        let salted_read = expanded
-            .nodes
-            .iter()
-            .find(|n| {
-                matches!(n.kind, PhysKind::ShuffleRead { .. }) && map.salted_at(n.id).is_some()
-            })
-            .expect("a salted reader claims its class with the exemption");
-        assert!(map.salted_at(salted_read.id).unwrap().covers(hot_digest));
-
-        // Salting off: the same join simply co-locates (no mesh).
-        let off = PartitionConfig {
-            salt: crate::SaltConfig {
-                enabled: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (plain, _) = partition_plan_cfg(&phys, 4, &off).unwrap();
-        assert!(plain
-            .nodes
-            .iter()
-            .all(|n| !matches!(n.kind, PhysKind::ShuffleWrite { .. })));
-        assert_eq!(canonical(&execute_oracle(&plain).unwrap()), expected);
-    }
-
-    /// The pathological all-hot case: with coverage above the fallback
-    /// threshold the planner replicates the whole build side
-    /// (`SaltedKeys::All`) and scatters the probe round-robin; placement
-    /// is entirely arbitrary, so no class is claimed, and the multiset
-    /// still matches the oracle.
-    #[test]
-    fn all_hot_join_takes_replicated_build_fallback() {
-        let int = |n: &str| Field::new(n, DataType::Int);
-        let mut c = Catalog::new();
-        c.add(
-            Table::new(
-                "fact",
-                Schema::new(vec![int("a"), int("b")]),
-                vec![],
-                vec![],
-                (0..400)
-                    .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 2)]))
-                    .collect(),
-            )
-            .unwrap(),
-        );
-        c.add(
-            Table::new(
-                "dim",
-                Schema::new(vec![int("k")]),
-                vec![],
-                vec![],
-                (0..2).map(|k| Row::new(vec![Value::Int(k)])).collect(),
-            )
-            .unwrap(),
-        );
-        let mut q = QueryBuilder::new(&c);
-        let f = q.scan("fact", "f", &["a", "b"]).unwrap();
-        let d = q.scan("dim", "d", &["k"]).unwrap();
-        let j = q.join(f, d, &[("f.b", "d.k")]).unwrap();
-        let phys = lower(&j.into_plan(), q.into_attrs(), &c).unwrap();
-        let expected = canonical(&execute_oracle(&phys).unwrap());
-        let cfg = PartitionConfig {
-            salt: crate::SaltConfig {
-                force: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (expanded, map) = partition_plan_cfg(&phys, 4, &cfg).unwrap();
-        expanded.validate().unwrap();
-        let all_salted = expanded
-            .nodes
-            .iter()
-            .filter_map(|n| match &n.kind {
-                PhysKind::ShuffleWrite { salt: Some(s), .. } => Some(s.keys.len().is_none()),
-                _ => None,
-            })
-            .collect::<Vec<_>>();
-        assert!(
-            !all_salted.is_empty() && all_salted.iter().all(|&a| a),
-            "expected the SaltedKeys::All fallback\n{}",
-            expanded.display()
-        );
-        // Arbitrary placement: the salted meshes claim no class.
-        assert!(map.salted.is_empty());
         assert_eq!(canonical(&execute_oracle(&expanded).unwrap()), expected);
     }
 

@@ -16,44 +16,6 @@
 use sip_common::{AttrId, FxHashSet};
 use sip_optimizer::CostModel;
 
-/// Skew-adaptive (salted) routing knobs.
-///
-/// A key is *hot* when its share of the base table times `dop` reaches
-/// `hot_factor` — i.e. the key alone would fill `hot_factor` of one
-/// reader's fair share. Hot keys of a shuffled join are dealt round-robin
-/// on the scatter side while their build rows are replicated to every
-/// partition; when the hot keys cover nearly the whole stream
-/// (`replicate_coverage`) the planner falls back to replicating the entire
-/// build side ([`sip_engine::SaltedKeys::All`]).
-#[derive(Clone, Debug)]
-pub struct SaltConfig {
-    /// Enable skew-adaptive routing (salting) for shuffled joins.
-    pub enabled: bool,
-    /// Hot-key threshold: salted when `base_frequency * dop >= hot_factor
-    /// * base_rows`. Lower = more keys salted.
-    pub hot_factor: f64,
-    /// Cap on salted keys per join (the heaviest keys win).
-    pub max_hot_keys: usize,
-    /// Hot-row coverage at which per-key salting gives way to the
-    /// replicated-build fallback (the pathological all-hot case).
-    pub replicate_coverage: f64,
-    /// Bypass the cost gate: salt every shuffled join whose key crosses
-    /// `hot_factor` (differential tests force salting this way).
-    pub force: bool,
-}
-
-impl Default for SaltConfig {
-    fn default() -> Self {
-        SaltConfig {
-            enabled: true,
-            hot_factor: 0.5,
-            max_hot_keys: 64,
-            replicate_coverage: 0.9,
-            force: false,
-        }
-    }
-}
-
 /// Expansion knobs for [`crate::partition_plan_cfg`].
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
@@ -78,11 +40,9 @@ pub struct PartitionConfig {
     /// of funnelling all partitions through one serial `Merge`.
     ///
     /// `0` = auto: flat (single merge) up to dop 4, binary tree above.
-    /// Values `>= 2` force that fan-in at every dop.
+    /// Values `>= 2` force that fan-in at every dop; `1` is rejected (a
+    /// 1-ary merge tree cannot terminate).
     pub merge_fanin: u32,
-    /// Skew-adaptive routing (heavy-hitter salting + replicated-build
-    /// fallback) for shuffled joins.
-    pub salt: SaltConfig,
     /// Cost model pricing repartition against the serial fallback.
     pub cost: CostModel,
 }
@@ -94,7 +54,6 @@ impl Default for PartitionConfig {
             broadcast_max_rows: 1024.0,
             min_scan_rows: 0,
             merge_fanin: 0,
-            salt: SaltConfig::default(),
             cost: CostModel::default(),
         }
     }
@@ -184,8 +143,7 @@ pub(crate) fn plan_join_alignment(
     }
     // Moved rows are priced with the key's hot fraction folded in: a
     // shuffle cannot split a hot key below one worker, so the parallel
-    // join's critical path inflates by the skew factor. (Joins the salt
-    // planner already took over never reach this point.)
+    // join's critical path inflates by the skew factor.
     let skew = cfg.cost.skew_factor(est.hot_frac, dop);
     let wins = |moved: f64| {
         cfg.cost

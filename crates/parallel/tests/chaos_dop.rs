@@ -1,5 +1,6 @@
 //! Chaos differential sweep for the parallel executor: injected faults ×
-//! dop {1, 2, 4} × routing variant (plain hash, salting forced).
+//! dop {1, 2, 4}, through the full query path and through a plan with a
+//! shuffle mesh.
 //!
 //! The invariant under every combination: a run returns either a result
 //! **byte-identical to the serial oracle** or a **clean attributed
@@ -16,7 +17,7 @@ use sip_engine::{
     canonical, execute_ctx, execute_oracle, ExecContext, ExecOptions, FaultKind, FaultPlan,
     NoopMonitor, PhysKind,
 };
-use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
+use sip_parallel::partition_plan;
 use sip_queries::build_query;
 use std::sync::Arc;
 
@@ -27,21 +28,6 @@ fn catalog() -> sip_data::Catalog {
         zipf_z: 0.5,
     })
     .unwrap()
-}
-
-/// Force salting through the cost gate so the sweep exercises salted
-/// scatter meshes regardless of measured skew.
-fn salt_forced() -> PartitionConfig {
-    PartitionConfig {
-        salt: SaltConfig {
-            enabled: true,
-            hot_factor: 0.0005,
-            max_hot_keys: 256,
-            replicate_coverage: 1.1,
-            force: true,
-        },
-        ..PartitionConfig::default()
-    }
 }
 
 /// One fault scenario of the sweep: a plan-wide kind-targeted fault (or
@@ -144,18 +130,17 @@ fn faults_across_dop_never_yield_partial_ok() {
     }
 }
 
-/// Salting forced on: the scenario sweep through salted scatter meshes,
-/// plus a mesh-specific fault (`ShuffleWrite`) that must fire whenever
-/// the expanded plan contains a mesh.
+/// The scenario sweep through a plan with shuffle meshes (Q4A's
+/// multi-class join chain), plus a mesh-specific fault (`ShuffleWrite`)
+/// that must fire whenever the expanded plan contains a mesh.
 #[test]
-fn faults_with_salting_forced_never_yield_partial_ok() {
+fn faults_through_shuffle_meshes_never_yield_partial_ok() {
     let catalog = catalog();
     let spec = build_query("Q4A", &catalog).unwrap();
     let phys = Arc::new(spec.lower(&catalog, Strategy::Baseline).unwrap());
     let expected = canonical(&execute_oracle(&phys).unwrap());
-    let cfg = salt_forced();
     for dop in [2u32, 4] {
-        let (expanded, map) = partition_plan_cfg(&phys, dop, &cfg).unwrap();
+        let (expanded, map) = partition_plan(&phys, dop).unwrap();
         let has_mesh = expanded
             .nodes
             .iter()
@@ -172,7 +157,7 @@ fn faults_with_salting_forced_never_yield_partial_ok() {
             let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, Arc::clone(&map));
             let result = execute_ctx(ctx, Arc::new(NoopMonitor)).map(|out| out.rows);
             check_outcome(
-                &format!("Q4A salted dop {dop} {}", s.label),
+                &format!("Q4A dop {dop} {}", s.label),
                 &expected,
                 result,
                 s.must_fail,

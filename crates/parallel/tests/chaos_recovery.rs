@@ -17,7 +17,7 @@ use sip_engine::{
     canonical, execute_ctx, execute_oracle, run_with_recovery, ExecContext, ExecOptions, FaultKind,
     FaultPlan, NoopMonitor, PartitionMap, PhysPlan, QueryOutput,
 };
-use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
+use sip_parallel::{partition_plan_cfg, PartitionConfig};
 use sip_queries::build_query;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,19 +29,6 @@ fn catalog() -> Catalog {
         zipf_z: 0.5,
     })
     .unwrap()
-}
-
-fn salt_forced() -> PartitionConfig {
-    PartitionConfig {
-        salt: SaltConfig {
-            enabled: true,
-            hot_factor: 0.0005,
-            max_hot_keys: 256,
-            replicate_coverage: 1.1,
-            force: true,
-        },
-        ..PartitionConfig::default()
-    }
 }
 
 /// A retry policy fast enough for tests.
@@ -116,7 +103,7 @@ fn partitioned_scan_faults_heal_by_whole_run_retry() {
     let catalog = catalog();
     let (phys, expected) = q4a(&catalog);
     for dop in [2u32, 4] {
-        let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_forced()).unwrap();
+        let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default()).unwrap();
         for fault in [FaultKind::Panic, FaultKind::Error] {
             let opts = ExecOptions::default()
                 .with_faults(FaultPlan::none().with_kind_fault_times("Scan", 0, fault.clone(), 1))
@@ -142,7 +129,7 @@ fn partitioned_scan_faults_heal_by_whole_run_retry() {
 fn budget_exhaustion_is_clean_and_attributed() {
     let catalog = catalog();
     let (phys, _) = q4a(&catalog);
-    let (expanded, map) = partition_plan_cfg(&phys, 4, &salt_forced()).unwrap();
+    let (expanded, map) = partition_plan_cfg(&phys, 4, &PartitionConfig::default()).unwrap();
     let cases = [
         (
             Some(&map),
@@ -185,7 +172,7 @@ fn budget_exhaustion_is_clean_and_attributed() {
 fn stalls_and_hangs_heal_by_watchdog_retry() {
     let catalog = catalog();
     let (phys, expected) = q4a(&catalog);
-    let (expanded, map) = partition_plan_cfg(&phys, 4, &salt_forced()).unwrap();
+    let (expanded, map) = partition_plan_cfg(&phys, 4, &PartitionConfig::default()).unwrap();
     let cases = [
         (
             Some(&map),

@@ -3,22 +3,20 @@
 //! serial oracle's row multiset — including the multi-class join chains
 //! (TPC-H 5/9 shapes) that previously collapsed to the serial fallback and
 //! now repartition through shuffle meshes — plus a correlated-skew
-//! workload whose filtered stream no base-table statistic predicts, which
-//! pins the in-flight stage-boundary feedback each shuffle mesh hands the
-//! monitor.
+//! workload whose filtered stream no base-table statistic predicts.
 
-use sip_common::{DataType, Field, Row, Schema, SpaceSaving, Value};
+use sip_common::{DataType, Field, Row, Schema, Value};
 use sip_core::{run_query_dop, AipConfig, Strategy};
 use sip_data::{generate, Catalog, Table, TpchConfig};
 use sip_engine::{
     canonical, execute_ctx, execute_oracle, lower, ExecContext, ExecMonitor, ExecOptions,
-    NoopMonitor, PhysKind, PhysPlan, StageFeedback,
+    NoopMonitor, PhysKind, PhysPlan,
 };
 use sip_expr::Expr;
 use sip_parallel::{partition_plan, partition_plan_cfg, PartitionConfig, PartitionedExec};
 use sip_plan::{PredicateIndex, QueryBuilder};
 use sip_queries::{all_queries, build_query};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const DOPS: [u32; 4] = [1, 2, 4, 8];
 
@@ -200,27 +198,32 @@ fn admit_batch_parity_across_dop_and_batch_sizes() {
 
 /// Tree-merge row conservation under Zipf skew: a forced binary merge tail
 /// at dop 4 and the auto tree at dop 8 must conserve the serial plan's
-/// exact row multiset over the skewed catalog, every partition must report
-/// in the rollup, and the forced plan must actually stack merges.
+/// exact row multiset over the skewed catalog under feed-forward AIP,
+/// every partition must report in the rollup, and the forced plan must
+/// actually stack merges.
 #[test]
 fn tree_merge_conserves_rows_under_zipf_skew() {
     let catalog = catalog(); // zipf_z = 0.5
     for id in ["EX", "Q4A"] {
         let spec = build_query(id, &catalog).unwrap();
-        let phys = spec.lower(&catalog, Strategy::Baseline).unwrap();
+        let phys = Arc::new(spec.lower(&catalog, Strategy::FeedForward).unwrap());
         let expected = canonical(&execute_oracle(&phys).unwrap());
-        for (dop, fanin) in [(4u32, 2usize), (8, 0)] {
-            let mut opts = ExecOptions::validated(64, 2).unwrap();
-            opts.merge_fanin = fanin;
-            let (out, map) = run_query_dop(
-                &spec,
-                &catalog,
-                Strategy::FeedForward,
-                opts,
-                &AipConfig::paper(),
-                dop,
-            )
-            .unwrap();
+        for (dop, fanin) in [(4u32, 2u32), (8, 0)] {
+            let cfg = PartitionConfig {
+                merge_fanin: fanin,
+                ..Default::default()
+            };
+            let ff = sip_core::FeedForward::new(
+                PredicateIndex::build(&spec.plan).eq,
+                AipConfig::paper(),
+            );
+            let (out, map) = PartitionedExec::with_config(dop, cfg)
+                .execute(
+                    Arc::clone(&phys),
+                    ff,
+                    ExecOptions::validated(64, 2).unwrap(),
+                )
+                .unwrap();
             let map = map.expect("partitioned path");
             assert_eq!(
                 canonical(&out.rows),
@@ -368,8 +371,8 @@ fn correlated_skew_matches_oracle_across_dop() {
     }
 }
 
-/// The same plan under the cost-based controller, whose per-mesh
-/// UPDATEESTIMATES runs while rows flow, must not change the multiset.
+/// The same plan under the cost-based controller, whose UPDATEESTIMATES
+/// reads live counters while rows flow, must not change the multiset.
 #[test]
 fn correlated_skew_with_cost_based_controller_matches_oracle() {
     let c = correlated_catalog();
@@ -390,82 +393,4 @@ fn correlated_skew_with_cost_based_controller_matches_oracle() {
             .unwrap();
         assert_eq!(canonical(&out.rows), expected, "cost-based dop {dop}");
     }
-}
-
-/// One stage-boundary snapshot: (op, dop, rows, sketch, decision count).
-type BoundarySnapshot = (u32, u32, u64, Option<SpaceSaving>, usize);
-
-/// Captures every stage-boundary snapshot the engine hands out.
-#[derive(Default)]
-struct BoundaryProbe {
-    seen: Mutex<Vec<BoundarySnapshot>>,
-}
-
-impl ExecMonitor for BoundaryProbe {
-    fn on_stage_boundary(&self, _ctx: &Arc<ExecContext>, fb: &StageFeedback) {
-        self.seen.lock().unwrap().push((
-            fb.mesh,
-            fb.writers,
-            fb.rows_total(),
-            fb.sketch.clone(),
-            fb.op_rows.len(),
-        ));
-    }
-}
-
-#[test]
-fn stage_boundary_fires_once_per_mesh_with_merged_sketch() {
-    let c = correlated_catalog();
-    let (phys, eq) = physical(&c);
-    let dop = 4u32;
-    let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default()).unwrap();
-    let n_ops = expanded.nodes.len();
-    let meshes: std::collections::BTreeSet<u32> = expanded
-        .nodes
-        .iter()
-        .filter_map(|n| match n.kind {
-            PhysKind::ShuffleWrite { mesh, .. } => Some(mesh),
-            _ => None,
-        })
-        .collect();
-    assert!(!meshes.is_empty(), "plan has no shuffle mesh to observe");
-    let probe = Arc::new(BoundaryProbe::default());
-    let ctx = ExecContext::new_partitioned(expanded, ExecOptions::default(), map);
-    execute_ctx(ctx, Arc::clone(&probe) as Arc<dyn ExecMonitor>).unwrap();
-    let seen = probe.seen.lock().unwrap();
-    // Exactly one boundary per mesh (the last writer's countdown), each
-    // carrying the merged per-writer sketch and a snapshot of every
-    // operator of the expanded plan, not just the mesh's.
-    assert_eq!(
-        seen.iter()
-            .map(|s| s.0)
-            .collect::<std::collections::BTreeSet<_>>(),
-        meshes,
-        "each mesh reports exactly one boundary"
-    );
-    assert_eq!(seen.len(), meshes.len());
-    for (mesh, writers, rows, sketch, ops) in seen.iter() {
-        assert!(*writers >= 1, "mesh {mesh}");
-        let sketch = sketch.as_ref().expect("boundary sketch present");
-        assert!(sketch.total() > 0, "mesh {mesh}: empty merged sketch");
-        assert!(*rows > 0, "mesh {mesh}: no rows routed");
-        assert_eq!(*ops, n_ops, "mesh {mesh}: partial op snapshot");
-    }
-
-    // The cost-based controller consumes the same feedback: its decision
-    // log must carry one UPDATEESTIMATES line per mesh.
-    let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default()).unwrap();
-    let cb = sip_core::CostBased::new(
-        eq,
-        AipConfig::hash_sets(),
-        sip_optimizer::CostModel::default(),
-    );
-    let ctx = ExecContext::new_partitioned(expanded, ExecOptions::default(), map);
-    execute_ctx(ctx, Arc::clone(&cb) as Arc<dyn ExecMonitor>).unwrap();
-    let stage_lines = cb
-        .decisions()
-        .into_iter()
-        .filter(|l| l.starts_with("stage mesh"))
-        .count();
-    assert_eq!(stage_lines, meshes.len(), "{:?}", cb.decisions());
 }

@@ -1,5 +1,5 @@
 //! Property tests for the recovery layer: randomized fault points ×
-//! dop {1, 2, 4} × salting × retry budgets, asserting the recovery
+//! dop {1, 2, 4} × retry budgets, asserting the recovery
 //! contract — a bounded retryable fault strictly below the budget heals
 //! into a result with **no duplicate and no missing rows** (byte-equal
 //! to the serial oracle), and every attempt's threads are reaped.
@@ -18,7 +18,7 @@ use sip_engine::{
     FaultKind, FaultPlan, NoopMonitor, PhysPlan,
 };
 use sip_expr::AggFunc;
-use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
+use sip_parallel::partition_plan;
 use sip_plan::QueryBuilder;
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,14 +124,12 @@ proptest! {
         gk in 0usize..4,
         aggflag in 0usize..2,
         dop_ix in 0usize..3,
-        salt_ix in 0usize..2,
         op_seed in 0u32..1024,
         kind_ix in 0usize..2,
         times in 1u32..3,
         headroom in 1u32..3,
     ) {
         let dop = [1u32, 2, 4][dop_ix];
-        let salted = salt_ix == 1;
         let kind = [FaultKind::Panic, FaultKind::Error][kind_ix].clone();
         // Strictly below budget: `times` firings can cost at most `times`
         // failed attempts, so `times + headroom` attempts must heal.
@@ -144,14 +142,6 @@ proptest! {
             let catalog = mini_catalog(&facts, &bs, &cs);
             let phys = Arc::new(mini_plan(&catalog, fk, bk, gk, aggflag == 1));
             let expected = canonical(&execute_oracle(&phys).unwrap());
-            let cfg = PartitionConfig {
-                salt: SaltConfig {
-                    enabled: salted,
-                    force: salted,
-                    ..SaltConfig::default()
-                },
-                ..PartitionConfig::default()
-            };
             let mut attempts: Vec<Arc<ExecContext>> = Vec::new();
             let result = if dop == 1 {
                 let n = phys.nodes.len() as u32;
@@ -164,7 +154,7 @@ proptest! {
                     execute_ctx(ctx, Arc::new(NoopMonitor))
                 })
             } else {
-                let (expanded, map) = match partition_plan_cfg(&phys, dop, &cfg) {
+                let (expanded, map) = match partition_plan(&phys, dop) {
                     Ok(x) => x,
                     // Degenerate shapes fall back to serial — nothing to
                     // fault here that the dop==1 arm doesn't cover.
@@ -183,24 +173,24 @@ proptest! {
             };
             let out = result.unwrap_or_else(|e| {
                 panic!(
-                    "dop {dop} salted={salted} times={times}/budget {budget}: \
+                    "dop {dop} times={times}/budget {budget}: \
                      must heal below budget, got {e}"
                 )
             });
             prop_assert_eq!(
                 canonical(&out.rows),
                 expected,
-                "dop {} salted={} times={}/budget {}: duplicate or missing rows after recovery",
-                dop, salted, times, budget
+                "dop {} times={}/budget {}: duplicate or missing rows after recovery",
+                dop, times, budget
             );
             for ctx in &attempts {
                 prop_assert_eq!(
                     ctx.threads.live(), 0,
-                    "recovery leaked threads (dop {}, salted={})", dop, salted
+                    "recovery leaked threads (dop {})", dop
                 );
                 prop_assert_eq!(
                     ctx.threads.started(), ctx.threads.spawned(),
-                    "spawned threads never ran (dop {}, salted={})", dop, salted
+                    "spawned threads never ran (dop {})", dop
                 );
             }
         });

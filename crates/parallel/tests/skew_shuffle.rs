@@ -1,21 +1,17 @@
 //! Skew suite: Zipf-heavy keys through shuffle meshes.
 //!
-//! Three layers of guarantees, per PAPERS.md (Beame/Koutris/Suciu):
+//! Shuffled joins route by key hash only, so a Zipf-hot key lands on one
+//! reader. Two layers of guarantees:
 //!
-//! 1. **Conservation under plain hash routing** (salting off): hot keys
-//!    are neither lost nor duplicated, per-partition counts sum to the
-//!    serial total, and the imbalance is real — the regression guard for
-//!    the pre-salting mesh.
-//! 2. **Balance under salting**: the same workload with skew-adaptive
-//!    routing produces a salted plan whose scatter-mesh readers stay
-//!    within a max/mean bound the unsalted mesh grossly violates, while
-//!    the result multiset still matches the serial oracle exactly.
-//! 3. **AIP correctness with salting forced**: admit-batch parity
+//! 1. **Conservation under hash routing**: hot keys are neither lost nor
+//!    duplicated, per-partition counts sum to the serial total, and the
+//!    imbalance is real (the `routed` max/mean sits above 1).
+//! 2. **AIP correctness over skewed meshes**: admit-batch parity
 //!    (`sip_engine::testkit::install_admit_parity`) at dop ∈ {2, 4}, and
 //!    full differential runs under the FeedForward/CostBased controllers
-//!    with delayed dimensions — stressing the scoped-filter salted-key
-//!    exemption (a partition's working set must never prune a salted key
-//!    whose rows another partition received).
+//!    with delayed dimensions. Rare two-row keys reach only some
+//!    partitions, so per-partition scoped filters and the plan-wide
+//!    OR-merged union both meet keys that a partition never saw.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,19 +19,18 @@ use sip_common::{DataType, Field, Row, Schema, Value};
 use sip_data::{Catalog, Table, Zipf};
 use sip_engine::{
     canonical, execute_ctx, execute_oracle, lower, DelayModel, ExecContext, ExecMonitor,
-    ExecOptions, NoopMonitor, PhysKind, PhysPlan, SaltRole,
+    ExecOptions, NoopMonitor, PhysKind, PhysPlan,
 };
-use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
+use sip_parallel::partition_plan;
 use sip_plan::{PredicateIndex, QueryBuilder};
 use std::sync::Arc;
 use std::time::Duration;
 
 const KEYS: u64 = 40;
 const FACT_ROWS: usize = 4000;
-/// Rare `fb` keys carrying exactly two rows each: under forced low-
-/// threshold salting they scatter to a strict subset of the partitions,
-/// so some partition's slice of the stream misses them entirely — the
-/// configuration a scoped AIP filter must not prune.
+/// Rare `fb` keys carrying exactly two rows each: each lands on at most
+/// two partitions, so some partition's slice of the stream misses them
+/// entirely — the configuration a scoped AIP filter must not prune.
 const RARE_KEYS: std::ops::Range<i64> = 101..109;
 
 /// fact(fa, fb, v) with both keys Zipf(1.5)-skewed plus a two-row tail,
@@ -108,11 +103,9 @@ fn two_class_plan(c: &Catalog) -> PhysPlan {
     lower(&plan, q.into_attrs(), c).unwrap()
 }
 
-/// Two joins on the Zipf-heavy `fb`: the salted join's output feeds a
-/// *second* keyed join on the same attribute — the shape where a scoped
-/// AIP filter built from a salted stream's partition slice would wrongly
-/// prune a salted key at the second join's dimension if the exemption
-/// were missing.
+/// Two joins on the Zipf-heavy `fb`: the shuffled join's output feeds a
+/// *second* keyed join on the same attribute, so AIP sets built from one
+/// partition's slice are injected at the second join's dimension.
 fn double_fb_spec(c: &Catalog) -> (sip_plan::LogicalPlan, sip_plan::AttrCatalog) {
     let mut q = QueryBuilder::new(c);
     let f = q.scan("fact", "f", &["fa", "fb", "v"]).unwrap();
@@ -125,42 +118,13 @@ fn double_fb_spec(c: &Catalog) -> (sip_plan::LogicalPlan, sip_plan::AttrCatalog)
     (j3.into_plan(), q.into_attrs())
 }
 
-fn salt_off() -> PartitionConfig {
-    PartitionConfig {
-        salt: SaltConfig {
-            enabled: false,
-            ..SaltConfig::default()
-        },
-        ..PartitionConfig::default()
-    }
-}
-
-/// Force salting through the cost gate, with the threshold floored at two
-/// occurrences so the rare two-row keys salt too (scattering them to
-/// fewer partitions than `dop`) — the worst case for per-partition AIP
-/// scoping.
-fn salt_forced() -> PartitionConfig {
-    PartitionConfig {
-        salt: SaltConfig {
-            enabled: true,
-            hot_factor: 0.0005,
-            max_hot_keys: 256,
-            replicate_coverage: 1.1, // keep per-key salting (no all-hot fallback)
-            force: true,
-        },
-        ..PartitionConfig::default()
-    }
-}
-
 #[test]
 fn zipf_keys_survive_the_shuffle_exactly_once() {
-    // Plain hash routing (salting off): the pre-salting conservation
-    // guarantees must keep holding.
     let c = skewed_catalog();
     let phys = two_class_plan(&c);
     let expected = canonical(&execute_oracle(&phys).unwrap());
     for dop in [2u32, 4, 8] {
-        let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_off()).unwrap();
+        let (expanded, map) = partition_plan(&phys, dop).unwrap();
         let writers: Vec<_> = expanded
             .nodes
             .iter()
@@ -178,11 +142,6 @@ fn zipf_keys_survive_the_shuffle_exactly_once() {
             "no shuffle at dop {dop}:\n{}",
             expanded.display()
         );
-        // Salting disabled: no writer carries a salt spec.
-        assert!(expanded
-            .nodes
-            .iter()
-            .all(|n| !matches!(&n.kind, PhysKind::ShuffleWrite { salt: Some(_), .. })));
         let ctx = ExecContext::new_partitioned(
             Arc::clone(&expanded),
             ExecOptions::default(),
@@ -220,17 +179,22 @@ fn zipf_keys_survive_the_shuffle_exactly_once() {
             "dop {dop}: per-partition counts do not sum to the serial total"
         );
 
-        // The skew is real: at least one reader holds strictly more than
-        // an even share (Zipf s=1.5 concentrates ~38% of rows on the hot
-        // key), so the equality above exercised an unbalanced mesh.
-        let max_reader = readers
-            .iter()
-            .map(|&r| out.metrics.per_op[r.index()].rows_out)
-            .max()
-            .unwrap();
+        // The skew is real: the writers' per-destination `routed` counts
+        // put strictly more than an even share on one reader (Zipf s=1.5
+        // concentrates ~38% of rows on the hot key), so the equality above
+        // exercised an unbalanced mesh.
+        let mut routed = vec![0u64; dop as usize];
+        for &w in &writers {
+            for (slot, n) in routed.iter_mut().zip(&out.metrics.per_op[w.index()].routed) {
+                *slot += n;
+            }
+        }
+        assert_eq!(routed.iter().sum::<u64>(), rows_out, "dop {dop}");
+        let max = *routed.iter().max().unwrap() as f64;
+        let mean = rows_out as f64 / dop as f64;
         assert!(
-            max_reader > rows_out / dop as u64,
-            "dop {dop}: expected a skewed partition split, got a uniform one"
+            max / mean > 1.0,
+            "dop {dop}: expected a skewed partition split, got {routed:?}"
         );
 
         // Per-destination routed counts roll up into the partition report
@@ -245,131 +209,26 @@ fn zipf_keys_survive_the_shuffle_exactly_once() {
     }
 }
 
-/// Rows each reader of the salted (scatter-role) mesh emitted.
-fn scatter_reader_rows(expanded: &PhysPlan, metrics: &sip_engine::ExecMetrics) -> Vec<u64> {
-    let scatter_mesh = expanded
-        .nodes
-        .iter()
-        .find_map(|n| match &n.kind {
-            PhysKind::ShuffleWrite {
-                mesh,
-                salt: Some(s),
-                ..
-            } if s.role == SaltRole::Scatter => Some(*mesh),
-            _ => None,
-        })
-        .expect("salted plan has a scatter mesh");
-    expanded
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.kind {
-            PhysKind::ShuffleRead { mesh, .. } if *mesh == scatter_mesh => {
-                Some(metrics.per_op[n.id.index()].rows_out)
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-/// The acceptance bar for the tentpole: with salting on (auto-detected
-/// from the base-table stats — no forcing), the Zipf-1.5 mesh balances to
-/// max/mean ≤ 1.5 where the unsalted mesh sits far above it, and the
-/// result multiset still matches the serial oracle exactly.
-#[test]
-fn salting_balances_zipf_heavy_mesh() {
-    let c = skewed_catalog();
-    let phys = two_class_plan(&c);
-    let expected = canonical(&execute_oracle(&phys).unwrap());
-    let dop = 4u32;
-
-    let imbalance = |cfg: &PartitionConfig| {
-        let (expanded, map) = partition_plan_cfg(&phys, dop, cfg).unwrap();
-        expanded.validate().unwrap();
-        let ctx = ExecContext::new_partitioned(
-            Arc::clone(&expanded),
-            ExecOptions::default(),
-            Arc::clone(&map),
-        );
-        let out = execute_ctx(ctx, Arc::new(NoopMonitor)).unwrap();
-        assert_eq!(canonical(&out.rows), expected, "diverged from oracle");
-        (expanded, map, out)
-    };
-
-    // Salting on (defaults): the hot key crosses the 0.5 threshold and the
-    // plan salts the off-class join.
-    let (salted_plan, _salted_map, salted_out) = imbalance(&PartitionConfig::default());
-    let salted_writers = salted_plan
-        .nodes
-        .iter()
-        .filter(|n| matches!(&n.kind, PhysKind::ShuffleWrite { salt: Some(_), .. }))
-        .count();
-    assert!(
-        salted_writers > 0,
-        "auto salting did not fire:\n{}",
-        salted_plan.display()
-    );
-    let readers = scatter_reader_rows(&salted_plan, &salted_out.metrics);
-    assert_eq!(readers.len(), dop as usize);
-    let total: u64 = readers.iter().sum();
-    let max = *readers.iter().max().unwrap() as f64;
-    let mean = total as f64 / dop as f64;
-    assert!(
-        max / mean <= 1.5,
-        "salted mesh still skewed: readers {readers:?} (max/mean {:.2})",
-        max / mean
-    );
-
-    // Salting off: same workload, the hot key saturates one reader.
-    let (off_plan, _off_map, off_out) = imbalance(&salt_off());
-    let off_readers: Vec<u64> = off_plan
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.kind {
-            PhysKind::ShuffleRead { .. } => Some(off_out.metrics.per_op[n.id.index()].rows_out),
-            _ => None,
-        })
-        .collect();
-    let off_total: u64 = off_readers.iter().sum();
-    let off_max = *off_readers.iter().max().unwrap() as f64;
-    let off_mean = off_total as f64 / off_readers.len() as f64;
-    assert!(
-        off_max / off_mean > 1.5,
-        "unsalted mesh unexpectedly balanced: {off_readers:?}"
-    );
-
-    // The online sketch saw the hot key on at least one salted writer.
-    let observed_hot: u64 = salted_out
-        .metrics
-        .per_op
-        .iter()
-        .map(|m| m.hot_keys_observed)
-        .sum();
-    assert!(
-        observed_hot > 0,
-        "runtime sketch observed no heavy hitter on a Zipf-1.5 stream"
-    );
-}
-
-/// Admit-batch AIP parity with salting forced on: at dop ∈ {2, 4}, the
-/// self-checking collectors at every stateful input of the salted plan
+/// Admit-batch AIP parity over Zipf-skewed meshes: at dop ∈ {2, 4}, the
+/// self-checking collectors at every stateful input of the shuffled plan
 /// must see byte-identical batch-vs-row AIP sets and exactly equal
 /// `aip_probed`/`aip_dropped` counters, and the result multiset must
 /// equal the serial oracle.
 #[test]
-fn aip_parity_with_salting_forced() {
+fn aip_parity_through_zipf_meshes() {
     let c = skewed_catalog();
     let (plan, attrs) = double_fb_spec(&c);
     let phys = Arc::new(lower(&plan, attrs, &c).unwrap());
     let expected = canonical(&execute_oracle(&phys).unwrap());
     for dop in [2u32, 4] {
         for batch in [64usize, 1024] {
-            let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_forced()).unwrap();
+            let (expanded, map) = partition_plan(&phys, dop).unwrap();
             assert!(
                 expanded
                     .nodes
                     .iter()
-                    .any(|n| matches!(&n.kind, PhysKind::ShuffleWrite { salt: Some(_), .. })),
-                "forced salting produced no salted mesh at dop {dop}:\n{}",
+                    .any(|n| matches!(&n.kind, PhysKind::ShuffleWrite { .. })),
+                "no shuffle mesh at dop {dop}:\n{}",
                 expanded.display()
             );
             let opts = ExecOptions::validated(batch, 2).unwrap();
@@ -380,7 +239,7 @@ fn aip_parity_with_salting_forced() {
             assert_eq!(
                 canonical(&out.rows),
                 expected,
-                "dop {dop} batch {batch}: salted plan diverged from the serial oracle"
+                "dop {dop} batch {batch}: shuffled plan diverged from the serial oracle"
             );
             let errs = outcome.errors.lock().unwrap();
             assert!(
@@ -393,14 +252,13 @@ fn aip_parity_with_salting_forced() {
     }
 }
 
-/// Full differential with the AIP controllers live and salting forced:
-/// FeedForward and CostBased inject partition-scoped filters from salted
-/// streams (with many salted keys whose rows miss some partitions — the
+/// Full differential with the AIP controllers live over Zipf-skewed
+/// meshes: FeedForward and CostBased inject partition-scoped filters and
+/// their OR-merged unions (the rare keys miss some partitions; the
 /// delayed dimensions keep injection sites alive), and the result must
-/// still match the serial oracle exactly. Without the scoped-filter
-/// salted-key exemption this drops rows.
+/// still match the serial oracle exactly.
 #[test]
-fn controllers_preserve_salted_multisets() {
+fn controllers_preserve_zipf_multisets() {
     let c = skewed_catalog();
     let (plan, attrs) = double_fb_spec(&c);
     let phys = Arc::new(lower(&plan, attrs.clone(), &c).unwrap());
@@ -413,7 +271,7 @@ fn controllers_preserve_salted_multisets() {
     };
     for dop in [2u32, 4] {
         for controller in ["ff", "cb"] {
-            let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_forced()).unwrap();
+            let (expanded, map) = partition_plan(&phys, dop).unwrap();
             let mut opts = ExecOptions::validated(256, 4).unwrap();
             opts = opts
                 .with_delay("t", slow_dim.clone())
@@ -431,7 +289,7 @@ fn controllers_preserve_salted_multisets() {
             assert_eq!(
                 canonical(&out.rows),
                 expected,
-                "{controller} dop {dop}: salted run with live controllers diverged"
+                "{controller} dop {dop}: run with live controllers diverged"
             );
         }
     }

@@ -1,10 +1,10 @@
 //! sip-trace integration across the partition-parallel executor: the
 //! span/phase accounting invariants must hold on every shape the planner
-//! can produce — serial, hash-partitioned, and salted — and tracing off
+//! can produce — serial, hash-partitioned, and shuffled — and tracing off
 //! must keep the routing histograms (the metrics path) while attributing
 //! zero time.
 //!
-//! Invariants checked per (dop × salting) cell:
+//! Invariants checked per dop:
 //!
 //! * results still match the serial oracle (tracing must be inert);
 //! * per-operator attributed time never exceeds wall time (one thread per
@@ -25,7 +25,7 @@ use sip_engine::{
     canonical, execute_baseline, execute_ctx, execute_oracle, lower, ExecContext, ExecOptions,
     NoopMonitor, PhysKind, PhysPlan, QueryOutput, QueryProfile, TraceLevel,
 };
-use sip_parallel::{partition_plan_cfg, PartitionConfig, SaltConfig};
+use sip_parallel::partition_plan;
 use sip_plan::QueryBuilder;
 use std::sync::Arc;
 
@@ -88,34 +88,16 @@ fn two_class_plan(c: &Catalog) -> PhysPlan {
     lower(&j2.into_plan(), q.into_attrs(), c).unwrap()
 }
 
-fn salt_cfg(enabled: bool) -> PartitionConfig {
-    PartitionConfig {
-        salt: SaltConfig {
-            enabled,
-            hot_factor: 0.0005,
-            max_hot_keys: 256,
-            replicate_coverage: 1.1,
-            force: enabled,
-        },
-        ..PartitionConfig::default()
-    }
-}
-
 /// Run one cell, returning the executed plan (expanded for dop > 1) and
 /// the output.
-fn run_cell(
-    phys: &PhysPlan,
-    dop: u32,
-    salt: bool,
-    level: TraceLevel,
-) -> (Arc<PhysPlan>, QueryOutput) {
+fn run_cell(phys: &PhysPlan, dop: u32, level: TraceLevel) -> (Arc<PhysPlan>, QueryOutput) {
     let opts = ExecOptions::default().with_trace(level);
     if dop <= 1 {
         let plan = Arc::new(phys.clone());
         let out = execute_baseline(Arc::clone(&plan), opts).unwrap();
         return (plan, out);
     }
-    let (expanded, map) = partition_plan_cfg(phys, dop, &salt_cfg(salt)).unwrap();
+    let (expanded, map) = partition_plan(phys, dop).unwrap();
     let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, map);
     let out = execute_ctx(ctx, Arc::new(NoopMonitor)).unwrap();
     (expanded, out)
@@ -139,65 +121,59 @@ fn batch_loop_op(kind: &PhysKind) -> bool {
 }
 
 #[test]
-fn phase_accounting_holds_across_dop_and_salting() {
+fn phase_accounting_holds_across_dop() {
     let c = skewed_catalog();
     let phys = two_class_plan(&c);
     let expected = canonical(&execute_oracle(&phys).unwrap());
     for dop in [1u32, 2, 4] {
-        for salt in [false, true] {
-            if dop == 1 && salt {
-                continue; // serial runs have no routing to salt
-            }
-            let (plan, out) = run_cell(&phys, dop, salt, TraceLevel::Spans);
-            let tag = format!("dop {dop} salt {salt}");
-            assert_eq!(
-                canonical(&out.rows),
-                expected,
-                "{tag}: tracing changed results"
+        let (plan, out) = run_cell(&phys, dop, TraceLevel::Spans);
+        let tag = format!("dop {dop}");
+        assert_eq!(
+            canonical(&out.rows),
+            expected,
+            "{tag}: tracing changed results"
+        );
+        let wall = out.metrics.wall_time.as_nanos() as u64;
+        assert_eq!(out.metrics.per_op.len(), plan.nodes.len(), "{tag}");
+        // Phase attribution must never clamp: nested emitter time is
+        // always a subset of its enclosing Compute span, even on
+        // mesh writers that emit one batch to several readers.
+        assert_eq!(
+            out.metrics.attribution_underflow, 0,
+            "{tag}: attribution clamped"
+        );
+        for node in &plan.nodes {
+            let snap = &out.metrics.per_op[node.id.index()];
+            assert!(
+                snap.busy_nanos() <= wall,
+                "{tag} {}: attributed {}ns exceeds wall {wall}ns",
+                node.id,
+                snap.busy_nanos()
             );
-            let wall = out.metrics.wall_time.as_nanos() as u64;
-            assert_eq!(out.metrics.per_op.len(), plan.nodes.len(), "{tag}");
-            // Phase attribution must never clamp: nested emitter time is
-            // always a subset of its enclosing Compute span, even on
-            // salted meshes where broadcast writers fan one batch out to
-            // every reader.
-            assert_eq!(
-                out.metrics.attribution_underflow, 0,
-                "{tag}: attribution clamped"
-            );
-            for node in &plan.nodes {
-                let snap = &out.metrics.per_op[node.id.index()];
-                assert!(
-                    snap.busy_nanos() <= wall,
-                    "{tag} {}: attributed {}ns exceeds wall {wall}ns",
+            if batch_loop_op(&node.kind) {
+                assert_eq!(
+                    snap.phase_counts[Phase::Compute as usize],
+                    snap.batches_in,
+                    "{tag} {} ({}): one Compute span per input batch",
                     node.id,
-                    snap.busy_nanos()
+                    node.kind.name()
                 );
-                if batch_loop_op(&node.kind) {
-                    assert_eq!(
-                        snap.phase_counts[Phase::Compute as usize],
-                        snap.batches_in,
-                        "{tag} {} ({}): one Compute span per input batch",
-                        node.id,
-                        node.kind.name()
-                    );
-                }
             }
-            // Span streams merge deterministically: sorted by start time.
-            assert!(
-                !out.metrics.spans.is_empty(),
-                "{tag}: no spans at Spans level"
-            );
-            assert!(
-                out.metrics
-                    .spans
-                    .windows(2)
-                    .all(|w| w[0].t_start <= w[1].t_start),
-                "{tag}: span merge is not start-time sorted"
-            );
-            for s in &out.metrics.spans {
-                assert!(s.t_end >= s.t_start, "{tag}: inverted span");
-            }
+        }
+        // Span streams merge deterministically: sorted by start time.
+        assert!(
+            !out.metrics.spans.is_empty(),
+            "{tag}: no spans at Spans level"
+        );
+        assert!(
+            out.metrics
+                .spans
+                .windows(2)
+                .all(|w| w[0].t_start <= w[1].t_start),
+            "{tag}: span merge is not start-time sorted"
+        );
+        for s in &out.metrics.spans {
+            assert!(s.t_end >= s.t_start, "{tag}: inverted span");
         }
     }
 }
@@ -208,7 +184,7 @@ fn query_profile_is_structurally_consistent_when_partitioned() {
     let phys = two_class_plan(&c);
     let dop = 4u32;
     let opts = ExecOptions::default().with_trace(TraceLevel::Ops);
-    let (expanded, map) = partition_plan_cfg(&phys, dop, &salt_cfg(true)).unwrap();
+    let (expanded, map) = partition_plan(&phys, dop).unwrap();
     let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, Arc::clone(&map));
     let out = execute_ctx(ctx, Arc::new(NoopMonitor)).unwrap();
 
@@ -230,7 +206,7 @@ fn query_profile_is_structurally_consistent_when_partitioned() {
     let lines = sip_engine::profile::worker_lines(&out.metrics, &map);
     assert_eq!(lines.len(), dop as usize);
     assert!(lines.iter().all(|l| l.starts_with("worker ")), "{lines:?}");
-    // The JSON artifact carries the schema tag and the salted routing.
+    // The JSON artifact carries the schema tag and the partition rows.
     let json = profile.to_json();
     assert!(json.contains(sip_engine::PROFILE_SCHEMA));
     assert!(json.contains("\"partitions\": ["));
@@ -244,7 +220,7 @@ fn query_profile_is_structurally_consistent_when_partitioned() {
 fn tracing_off_keeps_routing_and_attributes_no_time() {
     let c = skewed_catalog();
     let phys = two_class_plan(&c);
-    let (plan, out) = run_cell(&phys, 4, false, TraceLevel::Off);
+    let (plan, out) = run_cell(&phys, 4, TraceLevel::Off);
     assert!(out.metrics.spans.is_empty());
     let mut writers = 0usize;
     for node in &plan.nodes {
@@ -269,7 +245,7 @@ fn tracing_off_keeps_routing_and_attributes_no_time() {
 fn trace_probe_monitor_receives_the_frozen_metrics() {
     let c = skewed_catalog();
     let phys = two_class_plan(&c);
-    let (expanded, map) = partition_plan_cfg(&phys, 2, &salt_cfg(false)).unwrap();
+    let (expanded, map) = partition_plan(&phys, 2).unwrap();
     let probe = Arc::new(sip_engine::testkit::TraceProbe::default());
     let opts = ExecOptions::default().with_trace(TraceLevel::Spans);
     let ctx = ExecContext::new_partitioned(Arc::clone(&expanded), opts, map);

@@ -135,15 +135,7 @@ impl<T> fmt::Debug for Receiver<T> {
 
 /// Create a channel holding at most `cap` queued messages.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    with_capacity(cap.max(1))
-}
-
-/// Create a channel with no practical queue bound.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity(usize::MAX)
-}
-
-fn with_capacity<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
+    let cap = cap.max(1);
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             queue: VecDeque::new(),
@@ -316,17 +308,30 @@ impl<T> SelectHandle for Receiver<T> {
     }
 }
 
-/// Waits over any number of receive operations, crossbeam-style:
+/// Waits over any number of receive operations, crossbeam-style: register
+/// the receivers, block in [`Select::ready`] until one of them has a
+/// message or is disconnected, then complete it with
+/// [`Receiver::try_recv`]:
 ///
 /// ```
-/// use crossbeam::channel::{bounded, Select};
-/// let (tx, rx) = bounded::<u32>(1);
-/// tx.send(7).unwrap();
+/// use crossbeam::channel::{bounded, Select, TryRecvError};
+/// let (tx_a, rx_a) = bounded::<u32>(1);
+/// let (tx_b, rx_b) = bounded::<u32>(1);
+/// tx_b.send(7).unwrap();
+/// drop(tx_a);
 /// let mut sel = Select::new();
-/// sel.recv(&rx);
-/// let op = sel.select();
-/// assert_eq!(op.index(), 0);
-/// assert_eq!(op.recv(&rx), Ok(7));
+/// sel.recv(&rx_a);
+/// sel.recv(&rx_b);
+/// // Either operand may be reported first: `rx_a` is ready because its
+/// // sender is gone, `rx_b` because it holds a message.
+/// let mut got = Vec::new();
+/// for _ in 0..2 {
+///     match sel.ready() {
+///         0 => assert_eq!(rx_a.try_recv(), Err(TryRecvError::Disconnected)),
+///         _ => got.push(rx_b.try_recv().unwrap()),
+///     }
+/// }
+/// assert_eq!(got, vec![7]);
 /// ```
 pub struct Select<'a> {
     handles: Vec<&'a dyn SelectHandle>,
@@ -356,15 +361,6 @@ impl<'a> Select<'a> {
         );
         self.handles.push(r);
         self.handles.len() - 1
-    }
-
-    /// Block until one operation is ready and return it.
-    pub fn select(&mut self) -> SelectedOperation<'_> {
-        let index = self.ready();
-        SelectedOperation {
-            index,
-            _marker: std::marker::PhantomData,
-        }
     }
 
     /// Block until one operation is ready and return its index.
@@ -398,34 +394,6 @@ impl Drop for Select<'_> {
             for h in &self.handles {
                 h.unregister(&self.waker);
             }
-        }
-    }
-}
-
-/// A ready operation returned by [`Select::select`].
-pub struct SelectedOperation<'a> {
-    index: usize,
-    // Ties the lifetime to the Select session, mirroring crossbeam.
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-#[allow(clippy::needless_update)]
-impl SelectedOperation<'_> {
-    /// Index of the ready operation (registration order).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Complete the operation by receiving on `r`.
-    ///
-    /// Readiness may have been a disconnect, which surfaces as
-    /// `Err(RecvError)` exactly like crossbeam. If another consumer stole
-    /// the ready message, this falls back to a blocking receive.
-    pub fn recv<T>(self, r: &Receiver<T>) -> Result<T, RecvError> {
-        match r.try_recv() {
-            Ok(v) => Ok(v),
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-            Err(TryRecvError::Empty) => r.recv(),
         }
     }
 }
@@ -526,6 +494,8 @@ mod tests {
             tx.send(i).unwrap();
         }
         drop(txs);
+        // The operator input driver's loop: rebuild the select over the
+        // live receivers, wait in `ready`, complete with `try_recv`.
         let mut seen = Vec::new();
         let mut live: Vec<usize> = (0..rxs.len()).collect();
         while !live.is_empty() {
@@ -533,14 +503,13 @@ mod tests {
             for &i in &live {
                 sel.recv(&rxs[i]);
             }
-            let op = sel.select();
-            let pos = op.index();
-            let chan = live[pos];
-            match op.recv(&rxs[chan]) {
+            let pos = sel.ready();
+            match rxs[live[pos]].try_recv() {
                 Ok(v) => seen.push(v),
-                Err(_) => {
+                Err(TryRecvError::Disconnected) => {
                     live.remove(pos);
                 }
+                Err(TryRecvError::Empty) => {}
             }
         }
         seen.sort_unstable();
