@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Figures: table1, fig1, fig2, fig5..fig14 (time/space pairs run
-//! together), overhead, scaling, kernels, admit, columnar,
-//! recovery, ablation-sets, ablation-fpr, ablation-minmax, profile, all.
+//! together), overhead, kernels, recovery, ablation-sets, ablation-fpr,
+//! ablation-minmax, profile, all.
 //! An unknown name prints the usage and exits non-zero.
 //!
 //! `--json <dir>` additionally writes one machine-readable
@@ -238,17 +238,8 @@ fn main() -> ExitCode {
     run_figures(&sel, "overhead", json, cfg, &mut failed, || {
         harness.overhead().map(|r| vec![r])
     });
-    run_figures(&sel, "scaling", json, cfg, &mut failed, || {
-        harness.scaling().map(|r| vec![r])
-    });
     run_figures(&sel, "kernels", json, cfg, &mut failed, || {
         harness.kernels().map(|r| vec![r])
-    });
-    run_figures(&sel, "admit", json, cfg, &mut failed, || {
-        harness.admit().map(|r| vec![r])
-    });
-    run_figures(&sel, "columnar", json, cfg, &mut failed, || {
-        harness.columnar().map(|r| vec![r])
     });
     run_figures(&sel, "recovery", json, cfg, &mut failed, || {
         harness.recovery().map(|r| vec![r])
@@ -312,10 +303,7 @@ const FIGURES: &[&str] = &[
     "fig10",
     "fig13",
     "overhead",
-    "scaling",
     "kernels",
-    "admit",
-    "columnar",
     "recovery",
     "ablation-sets",
     "ablation-fpr",
@@ -341,12 +329,12 @@ fn usage() -> String {
   --figure NAME         one section or figure (default all); fig7, fig8,
                         fig11, fig12 and fig14 run their time/space pair
   --batch-size N        rows per engine batch (default 1024); also the
-                        batch the `kernels`/`admit` micro-figures sweep
+                        batch of the `kernels` micro-figure
   --channel-capacity N  bounded-channel backpressure window, in batches
                         (default 16)
-  --dop N               max degree of partition parallelism swept by the
-                        `scaling` benchmark (powers of two up to N;
-                        default 4, 1 = serial only)
+  --dop N               degree of partition parallelism of the `recovery`
+                        figure and the profiles (default 4; recovery and
+                        the Zipf profile use at least 2)
   --timeout-ms N        per-query deadline in milliseconds; a run past it
                         fails with `deadline exceeded` plus per-phase
                         time shares (default: no deadline; 0 is rejected)
@@ -387,7 +375,15 @@ mod tests {
         for name in ["fig7", "fig8", "fig11", "fig12", "fig14", "FIG5", "All"] {
             assert!(is_known_figure(name), "{name}");
         }
-        for name in ["nosuchfig", "adaptive", "fig3", ""] {
+        for name in [
+            "nosuchfig",
+            "adaptive",
+            "scaling",
+            "admit",
+            "columnar",
+            "fig3",
+            "",
+        ] {
             assert!(!is_known_figure(name), "{name}");
         }
         assert!(usage().contains(&FIGURES.join("|")));
@@ -405,6 +401,6 @@ mod tests {
         assert!(err.starts_with("unknown figure skew"), "{err}");
         let err = parse(&["--merge-fanin", "2"]).unwrap_err();
         assert!(err.starts_with("unknown argument --merge-fanin"), "{err}");
-        assert!(parse(&["--figure", "scaling", "--dop", "2"]).is_ok());
+        assert!(parse(&["--figure", "recovery", "--dop", "2"]).is_ok());
     }
 }

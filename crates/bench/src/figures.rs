@@ -1,6 +1,6 @@
 //! Per-figure experiment runners.
 
-use crate::measure::{ci95, mean, measure, measure_dop, ExperimentConfig, Measurement};
+use crate::measure::{ci95, mean, measure, ExperimentConfig, Measurement};
 use sip_common::json::json_str;
 use sip_common::trace::{Phase, N_PHASES};
 use sip_common::Result;
@@ -33,7 +33,7 @@ pub struct ReportRow {
     pub extra: String,
     /// Mean seconds per execution phase from `sip-trace`
     /// ([`sip_common::trace::Phase::ALL`] order); all zero for cells
-    /// measured outside the traced `measure`/`measure_dop` path.
+    /// measured outside the traced `measure` path.
     pub phase_secs: [f64; N_PHASES],
 }
 
@@ -411,89 +411,17 @@ impl Harness {
         })
     }
 
-    /// Partition-parallel scaling (`sip-parallel`): the Fig. 1 running
-    /// example *and* a multi-class join chain (TPC-H 5) over skewed data
-    /// with the paper's slow-source delay model, swept over dop ∈ {1, 2,
-    /// 4, ..., `--dop`}. The running example scales through partitioned
-    /// scans alone; the multi-class chain additionally crosses shuffle
-    /// meshes at every partitioning-class change — the configuration that
-    /// previously collapsed to replicated scans or a serial region.
-    pub fn scaling(&self) -> Result<FigureReport> {
-        let queries: [(&str, &[(&str, DelayModel)]); 2] = [
-            (
-                "EX",
-                &[
-                    ("l", DelayModel::paper_delayed()),
-                    ("ps1", DelayModel::paper_delayed()),
-                    ("ps2", DelayModel::paper_delayed()),
-                ],
-            ),
-            // Multi-class chain: custkey → orderkey → suppkey/nationkey
-            // partitioning classes, with slow fact sources on both sides
-            // of the first repartition boundary.
-            (
-                "Q4A",
-                &[
-                    ("l", DelayModel::paper_delayed()),
-                    ("o", DelayModel::paper_delayed()),
-                ],
-            ),
-        ];
-        let mut dops = vec![1u32];
-        let mut d = 2;
-        while d <= self.config.dop.max(1) {
-            dops.push(d);
-            d *= 2;
-        }
-        let mut rows = Vec::new();
-        let mut notes = Vec::new();
-        for (id, delays) in queries {
-            let catalog = if id == "EX" {
-                &self.skewed
-            } else {
-                self.catalog_for(id)?
-            };
-            let spec = build_query(id, catalog)?;
-            let mut base = None;
-            for &dop in &dops {
-                let (m, workers) = measure_dop(
-                    &spec,
-                    catalog,
-                    Strategy::FeedForward,
-                    &self.config,
-                    &AipConfig::paper(),
-                    delays,
-                    dop,
-                )?;
-                let speedup = match base {
-                    None => {
-                        base = Some(m.secs_mean);
-                        1.0
-                    }
-                    Some(b) => b / m.secs_mean,
-                };
-                let mut r = to_row(id, &format!("FF dop={dop}"), &m);
-                r.extra = format!("{} filters, speedup {speedup:.2}x", m.filters.round());
-                rows.push(r);
-                notes.extend(workers);
-            }
-        }
-        Ok(FigureReport {
-            id: "scaling".into(),
-            title: "sip-parallel: partition-parallel scaling on slow sources".into(),
-            rows,
-            notes,
-        })
-    }
-
-    /// Batch-kernel micro-figure: the two hottest per-row paths — the
-    /// injected-filter tap probe and shuffle routing — measured
-    /// row-at-a-time (the pre-vectorization interior: one hash + one key
-    /// clone per row per filter via `probe_quiet`, plus a second routing
-    /// hash) against the batch kernels (`TapKernel`: one shared digest pass
-    /// per batch per key-column set, selection-vector routing, no key
-    /// materialization). Sweep `--batch-size` / `--channel-capacity` to
-    /// explore the space; the acceptance bar is ≥2× at batch 1024.
+    /// Hot-loop tax micro-figure: the injected-filter tap probe's batch
+    /// loop (`TapKernel::probe_chain` over a Bloom + exact-hash chain)
+    /// bare, against the same loop plus what every operator pays per batch
+    /// when nothing is asked of it.
+    ///
+    /// * `trace-gate` — per-batch sip-trace spans with tracing off;
+    /// * `cancel-gate` — the per-batch `CancelToken` check.
+    ///
+    /// Both are interleaved best-of, and CI holds each variant within 2% of
+    /// its bare loop. Kernel throughput itself is sipbench's per-layer
+    /// metrics (`digest_mrows_per_s`, `bloom_probe_mkeys_per_s`).
     pub fn kernels(&self) -> Result<FigureReport> {
         use sip_engine::{InjectedFilter, TapKernel};
         use sip_filter::AipSetBuilder;
@@ -504,7 +432,6 @@ impl Harness {
         let batch = self.config.batch_size.max(1);
         let n_rows: usize = 1 << 17;
         let key_space = 10_000i64;
-        let dop = 4u32;
         // Join-output-shaped rows: key, payload int, payload string.
         let rows: Vec<sip_common::Row> = (0..n_rows as i64)
             .map(|i| {
@@ -537,123 +464,7 @@ impl Harness {
                 build(AipSetKind::Hash, 0..key_space / 4),
             )),
         ];
-        let repeats = self.config.repeats.max(1);
-
-        // --- Tap probe: row-at-a-time (probe_quiet per row per filter) ---
-        let mut survivors = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                for row in chunk {
-                    let mut keep = true;
-                    for f in &chain {
-                        if f.probe_quiet(row) == Some(false) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    if keep {
-                        survivors += 1;
-                    }
-                }
-            }
-        }
-        let tap_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_survivors = black_box(survivors) / repeats;
-
-        // --- Tap probe: batch kernel ---
         let mut kernel = TapKernel::new();
-        let mut survivors = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                kernel.begin(chunk.len());
-                kernel.probe_chain(&chain, chunk);
-                survivors += kernel.sel().len();
-            }
-        }
-        let tap_batch_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let batch_survivors = black_box(survivors) / repeats;
-        if row_survivors != batch_survivors {
-            return Err(sip_common::SipError::Exec(format!(
-                "kernel divergence: row tap kept {row_survivors}, batch tap kept {batch_survivors}"
-            )));
-        }
-
-        // --- Shuffle route: row-at-a-time (route hash per row, then the
-        // per-destination buffers tap-probe each row as the old emitters
-        // did) ---
-        let mut buckets: Vec<Vec<sip_common::Row>> =
-            (0..dop as usize).map(|_| Vec::new()).collect();
-        let mut routed = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                for b in buckets.iter_mut() {
-                    b.clear();
-                }
-                for row in chunk {
-                    let owner = sip_common::hash::partition_of(row.key_hash(&[0]), dop);
-                    buckets[owner as usize].push(row.clone());
-                }
-                for b in &buckets {
-                    for row in b {
-                        let mut keep = true;
-                        for f in &chain {
-                            if f.probe_quiet(row) == Some(false) {
-                                keep = false;
-                                break;
-                            }
-                        }
-                        if keep {
-                            routed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let route_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_routed = black_box(routed) / repeats;
-
-        // --- Shuffle route: batch kernel (tap + routing share one digest
-        // pass; per-destination selection vectors gathered into outgoing
-        // batches) ---
-        let mut kernel = TapKernel::new();
-        let mut route: Vec<sip_common::SelVec> = (0..dop as usize)
-            .map(|_| sip_common::SelVec::default())
-            .collect();
-        let mut owners: Vec<u32> = Vec::new();
-        let mut routed = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                kernel.begin(chunk.len());
-                kernel.probe_chain(&chain, chunk);
-                for s in route.iter_mut() {
-                    s.clear();
-                }
-                {
-                    let d = kernel.digests(chunk, &[0]).digests();
-                    owners.clear();
-                    owners.extend(d.iter().map(|&d| sip_common::hash::partition_of(d, dop)));
-                }
-                for i in kernel.sel().iter() {
-                    route[owners[i as usize] as usize].push(i);
-                }
-                for (b, s) in buckets.iter_mut().zip(route.iter()) {
-                    b.clear();
-                    b.extend(s.iter().map(|i| chunk[i as usize].clone()));
-                    routed += b.len();
-                }
-            }
-        }
-        let route_batch_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let batch_routed = black_box(routed) / repeats;
-        if row_routed != batch_routed {
-            return Err(sip_common::SipError::Exec(format!(
-                "kernel divergence: row route kept {row_routed}, batch route kept {batch_routed}"
-            )));
-        }
 
         // --- Trace gate: the tap-probe batch loop bare vs the same loop
         // wrapped in per-batch sip-trace spans with tracing *off* — the
@@ -663,7 +474,7 @@ impl Harness {
         // ambient noise hits both variants equally; CI holds gated-off to
         // within 2% of untraced.
         let hub = sip_common::trace::TraceHub::new(sip_common::trace::TraceLevel::Off);
-        let gate_reps = repeats.max(5);
+        let gate_reps = self.config.repeats.max(5);
         let mut untraced_best = f64::INFINITY;
         let mut gated_best = f64::INFINITY;
         let mut survivors = 0usize;
@@ -688,7 +499,7 @@ impl Harness {
             gated_best = gated_best.min(t.elapsed().as_secs_f64());
             tr.flush();
         }
-        black_box(survivors);
+        let kept = black_box(survivors) / (2 * gate_reps);
 
         // --- Cancel gate: the same batch loop bare vs with the per-batch
         // CancelToken check every emitter now performs (one relaxed atomic
@@ -722,77 +533,42 @@ impl Harness {
         black_box(survivors);
 
         let mrows = |secs: f64| n_rows as f64 / secs / 1e6;
-        let cell =
-            |name: &str, variant: &str, secs: f64, kept: usize, speedup: Option<f64>| ReportRow {
-                query: name.into(),
-                strategy: variant.into(),
-                secs,
-                ci: 0.0,
-                state_mb: 0.0,
-                rows: kept as u64,
-                extra: match speedup {
-                    Some(s) => format!("{:.1} Mrows/s, speedup {s:.2}x", mrows(secs)),
-                    None => format!("{:.1} Mrows/s", mrows(secs)),
-                },
-                ..Default::default()
-            };
-        let rows_out = vec![
-            cell("tap-probe", "row", tap_row_secs, row_survivors, None),
-            cell(
-                "tap-probe",
-                "batch",
-                tap_batch_secs,
-                batch_survivors,
-                Some(tap_row_secs / tap_batch_secs),
-            ),
-            cell("shuffle-route", "row", route_row_secs, row_routed, None),
-            cell(
-                "shuffle-route",
-                "batch",
-                route_batch_secs,
-                batch_routed,
-                Some(route_row_secs / route_batch_secs),
-            ),
-            cell(
-                "trace-gate",
-                "untraced",
-                untraced_best,
-                batch_survivors,
-                None,
-            ),
-            cell(
-                "trace-gate",
-                "gated-off",
-                gated_best,
-                batch_survivors,
-                Some(untraced_best / gated_best),
-            ),
-            cell(
-                "cancel-gate",
-                "unchecked",
-                unchecked_best,
-                batch_survivors,
-                None,
-            ),
-            cell(
-                "cancel-gate",
-                "checked",
-                checked_best,
-                batch_survivors,
-                Some(unchecked_best / checked_best),
-            ),
-        ];
+        let cell = |name: &str, variant: &str, secs: f64, vs_bare: Option<f64>| ReportRow {
+            query: name.into(),
+            strategy: variant.into(),
+            secs,
+            ci: 0.0,
+            state_mb: 0.0,
+            rows: kept as u64,
+            extra: match vs_bare {
+                Some(r) => format!("{:.1} Mrows/s, bare/this {r:.2}x", mrows(secs)),
+                None => format!("{:.1} Mrows/s", mrows(secs)),
+            },
+            ..Default::default()
+        };
         Ok(FigureReport {
             id: "kernels".into(),
             title: format!(
-                "batch kernels vs row-at-a-time interiors ({} rows, batch {batch}, 2-filter tap, dop {dop} routing)",
-                n_rows
+                "hot-loop tax of disabled tracing and the cancel check ({n_rows} rows, \
+batch {batch}, 2-filter tap, best of {gate_reps})"
             ),
-            rows: rows_out,
+            rows: vec![
+                cell("trace-gate", "untraced", untraced_best, None),
+                cell(
+                    "trace-gate",
+                    "gated-off",
+                    gated_best,
+                    Some(untraced_best / gated_best),
+                ),
+                cell("cancel-gate", "unchecked", unchecked_best, None),
+                cell(
+                    "cancel-gate",
+                    "checked",
+                    checked_best,
+                    Some(unchecked_best / checked_best),
+                ),
+            ],
             notes: vec![
-                "row = per-row digest + key clone per filter (probe_quiet) and a second routing hash; \
-batch = one shared digest pass per key-column set, selection-vector routing."
-                    .into(),
                 "trace-gate = tap-probe batch loop bare vs wrapped in disabled sip-trace spans \
 (TraceLevel::Off), interleaved best-of; the gated-off/untraced ratio bounds the tracing-off tax."
                     .into(),
@@ -826,7 +602,7 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
         use sip_engine::{
             canonical, execute_ctx, execute_oracle, ExecContext, FaultKind, FaultPlan, NoopMonitor,
         };
-        use sip_parallel::{partition_plan_cfg, PartitionConfig};
+        use sip_parallel::partition_plan;
         use std::time::Instant;
 
         let dop = self.config.dop.max(2);
@@ -834,7 +610,7 @@ emitter performs, interleaved best-of; the checked/unchecked ratio bounds the ca
         let spec = build_query("Q4A", catalog)?;
         let phys = Arc::new(spec.lower(catalog, Strategy::Baseline)?);
         let expected = sip_engine::canonical(&execute_oracle(&phys)?);
-        let (expanded, map) = partition_plan_cfg(&phys, dop, &PartitionConfig::default())
+        let (expanded, map) = partition_plan(&phys, dop)
             .map_err(|e| sip_common::SipError::Exec(format!("recovery: cannot partition: {e}")))?;
         let retry = RetryPolicy {
             stall_quantum: Some(std::time::Duration::from_millis(250)),
@@ -954,504 +730,6 @@ runners."
 once), healed below a 3-attempt budget by re-running the whole query; rows byte-checked \
 against the serial oracle before timing. attempts counts whole-run executions (2 = one failed \
 attempt plus the healing re-run)."
-                    .into(),
-            ],
-        })
-    }
-
-    /// Build-side micro-figure: the AIP working-copy *build* path (§IV-A's
-    /// feed-forward working sets and §IV-B's bulk state scan), row-admit vs
-    /// batch-admit.
-    ///
-    /// * `admit-build` — what a stateful operator's admit site pays per
-    ///   arriving batch. Both variants include the operator's own digest
-    ///   pass (the operator hashes its keys regardless); row then admits
-    ///   via the pre-PR `RowCollector::admit` semantics (one `key_hash` +
-    ///   one key `Value` clone per row per working set), batch via
-    ///   `admit_batch` (`AipSetBuilder::extend_batch` sharing the
-    ///   operator's digests — zero additional hashes, values cloned only
-    ///   for genuinely new exact keys).
-    /// * `state-scan` — the cost-based manager's set construction over a
-    ///   completed `StateView` (exact hash-set kind, the §V-B reuse case):
-    ///   per-row hash + key `Value` clone + insert (which re-allocates the
-    ///   key vector), vs per-row hash + `insert_at` (positional compare,
-    ///   a key vector built only for genuinely new keys — ~8% of rows
-    ///   here).
-    ///
-    /// The acceptance bar is ≥ 1.5× build throughput at batch 1024.
-    pub fn admit(&self) -> Result<FigureReport> {
-        use sip_common::{DigestBuffer, Row, Value};
-        use sip_filter::AipSetBuilder;
-        use std::hint::black_box;
-        use std::time::Instant;
-
-        let batch = self.config.batch_size.max(1);
-        let n_rows: usize = 1 << 17;
-        let key_space = 10_000i64;
-        // Stateful-operator-input-shaped rows: key, payload int, payload
-        // string; ~92% duplicate keys, as a fact input over a key domain.
-        let rows: Vec<Row> = (0..n_rows as i64)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Int(i % key_space),
-                    Value::Int(i),
-                    Value::str("payload-string"),
-                ])
-            })
-            .collect();
-        // The feed-forward shape: every potentially useful working set at
-        // once — the paper's Bloom default stacked with an exact hash set.
-        let kinds = [AipSetKind::Bloom, AipSetKind::Hash];
-        let positions = [0usize];
-        let repeats = self.config.repeats.max(1);
-        let new_builders = || -> Vec<AipSetBuilder> {
-            kinds
-                .iter()
-                .map(|&k| AipSetBuilder::new(k, key_space as usize, 0.05, 1))
-                .collect()
-        };
-
-        // --- admit-build: row-at-a-time (pre-PR RowCollector::admit) ---
-        let mut row_keys = 0u64;
-        let mut digests = DigestBuffer::default();
-        let t = Instant::now();
-        for _ in 0..repeats {
-            let mut builders = new_builders();
-            for chunk in rows.chunks(batch) {
-                // The operator's own key pass — paid in both variants.
-                digests.compute(chunk, &positions);
-                for row in chunk {
-                    for b in builders.iter_mut() {
-                        let digest = row.key_hash(&positions);
-                        let key = [row.get(0).clone()];
-                        b.insert(digest, &key);
-                    }
-                }
-            }
-            row_keys = builders
-                .into_iter()
-                .map(|b| b.finish().n_keys())
-                .sum::<u64>();
-        }
-        let admit_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_keys = black_box(row_keys);
-
-        // --- admit-build: batch (admit_batch over the shared digests) ---
-        let mut batch_keys = 0u64;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            let mut builders = new_builders();
-            for chunk in rows.chunks(batch) {
-                digests.compute(chunk, &positions);
-                for b in builders.iter_mut() {
-                    b.extend_batch(chunk, &positions, &digests);
-                }
-            }
-            batch_keys = builders
-                .into_iter()
-                .map(|b| b.finish().n_keys())
-                .sum::<u64>();
-        }
-        let admit_batch_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let batch_keys = black_box(batch_keys);
-        if row_keys != batch_keys {
-            return Err(sip_common::SipError::Exec(format!(
-                "admit divergence: row build holds {row_keys} keys, batch build {batch_keys}"
-            )));
-        }
-
-        // --- state-scan: row-at-a-time (pre-PR cost-based for_each:
-        // hash + key clone + insert, which re-allocates the key) ---
-        let scan_kind = AipSetKind::Hash; // the §V-B hash-table reuse case
-        let mut scan_row_keys = 0u64;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            let mut b = AipSetBuilder::new(scan_kind, key_space as usize, 0.05, 1);
-            for row in &rows {
-                let digest = row.key_hash(&positions);
-                let key = [row.get(0).clone()];
-                b.insert(digest, &key);
-            }
-            scan_row_keys = b.finish().n_keys();
-        }
-        let scan_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let scan_row_keys = black_box(scan_row_keys);
-
-        // --- state-scan: positional (insert_at — no key materialization) ---
-        let mut scan_batch_keys = 0u64;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            let mut b = AipSetBuilder::new(scan_kind, key_space as usize, 0.05, 1);
-            for row in &rows {
-                b.insert_at(row.key_hash(&positions), row.values(), &positions);
-            }
-            scan_batch_keys = b.finish().n_keys();
-        }
-        let scan_batch_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let scan_batch_keys = black_box(scan_batch_keys);
-        if scan_row_keys != scan_batch_keys {
-            return Err(sip_common::SipError::Exec(format!(
-                "state-scan divergence: row {scan_row_keys} keys, bulk {scan_batch_keys}"
-            )));
-        }
-
-        let mrows = |secs: f64| n_rows as f64 / secs / 1e6;
-        let cell =
-            |name: &str, variant: &str, secs: f64, keys: u64, speedup: Option<f64>| ReportRow {
-                query: name.into(),
-                strategy: variant.into(),
-                secs,
-                ci: 0.0,
-                state_mb: 0.0,
-                rows: keys,
-                extra: match speedup {
-                    Some(s) => format!("{:.1} Mrows/s, speedup {s:.2}x", mrows(secs)),
-                    None => format!("{:.1} Mrows/s", mrows(secs)),
-                },
-                ..Default::default()
-            };
-        Ok(FigureReport {
-            id: "admit".into(),
-            title: format!(
-                "AIP build path: row admit vs batch admit ({n_rows} rows, batch {batch}, \
-Bloom+Hash working sets)"
-            ),
-            rows: vec![
-                cell("admit-build", "row", admit_row_secs, row_keys, None),
-                cell(
-                    "admit-build",
-                    "batch",
-                    admit_batch_secs,
-                    batch_keys,
-                    Some(admit_row_secs / admit_batch_secs),
-                ),
-                cell("state-scan", "row", scan_row_secs, scan_row_keys, None),
-                cell(
-                    "state-scan",
-                    "batch",
-                    scan_batch_secs,
-                    scan_batch_keys,
-                    Some(scan_row_secs / scan_batch_secs),
-                ),
-            ],
-            notes: vec![
-                "row = one key hash + one key Value clone per row per working set \
-(RowCollector::admit / StateView::for_each insert); batch = the operator's shared digest \
-pass + bulk inserts (admit_batch / extend_batch), cloning a value only for new exact keys. \
-Both admit-build variants pay the operator's own digest pass."
-                    .into(),
-            ],
-        })
-    }
-
-    /// Columnar micro-figure: the typed-column kernels against the same
-    /// kernels over row-shaped batches — both *batched* (post-vectorization
-    /// interiors), so the measured delta is purely the memory layout.
-    ///
-    /// * `digest` — one key-digest pass ([`DigestBuffer::compute`] over
-    ///   `&[Row]` vs [`DigestBuffer::compute_cols`] over typed column
-    ///   slices with NULL flagging fused).
-    /// * `tap-probe` — a two-filter injected-tap stack
-    ///   (`TapKernel::probe_chain` vs `probe_chain_cols`).
-    /// * `shuffle-route` — digest + selection-vector dealing + building the
-    ///   per-destination outgoing batches (row clones vs per-column
-    ///   gathers).
-    /// * `stream-gen` — satellite: [`sip_data::stream_lineitem`] generating
-    ///   LINEITEM in constant-memory columnar chunks, at the configured
-    ///   `--sf` and at 4× it, showing flat chunk footprint and throughput.
-    ///
-    /// Every pair self-checks (digest checksums, survivor and routed
-    /// counts) so a layout divergence fails the figure rather than skewing
-    /// it. The acceptance bar is ≥ 1.5× on `digest`/`tap-probe` or
-    /// `shuffle-route` at batch 1024.
-    pub fn columnar(&self) -> Result<FigureReport> {
-        use sip_common::{ColumnarBatch, DigestBuffer, Row, SelVec, Value};
-        use sip_engine::{InjectedFilter, TapKernel};
-        use sip_filter::AipSetBuilder;
-        use std::hint::black_box;
-        use std::sync::Arc as StdArc;
-        use std::time::Instant;
-
-        let batch = self.config.batch_size.max(1);
-        let n_rows: usize = 1 << 17;
-        let key_space = 10_000i64;
-        let dop = 4u32;
-        // Join-output-shaped rows: key, payload int, payload string.
-        let rows: Vec<Row> = (0..n_rows as i64)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Int(i % key_space),
-                    Value::Int(i),
-                    Value::str("payload-string"),
-                ])
-            })
-            .collect();
-        let cols = ColumnarBatch::from_rows(&rows);
-        let pass_bytes = cols.size_bytes() as f64;
-        let repeats = self.config.repeats.max(1);
-        // Walk the columnar batch in the same chunk grid `rows.chunks`
-        // produces, as metadata-only slices.
-        let col_chunks = |f: &mut dyn FnMut(&ColumnarBatch)| {
-            let mut off = 0usize;
-            while off < n_rows {
-                let n = batch.min(n_rows - off);
-                f(&cols.slice(off, n));
-                off += n;
-            }
-        };
-
-        // --- digest: row layout ---
-        let mut digests = DigestBuffer::default();
-        let mut row_sum = 0u64;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                digests.compute(chunk, &[0]);
-                for &d in digests.digests() {
-                    row_sum = row_sum.wrapping_add(d);
-                }
-            }
-        }
-        let digest_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_sum = black_box(row_sum);
-
-        // --- digest: columnar layout ---
-        let mut col_sum = 0u64;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            col_chunks(&mut |chunk| {
-                digests.compute_cols(chunk, &[0]);
-                for &d in digests.digests() {
-                    col_sum = col_sum.wrapping_add(d);
-                }
-            });
-        }
-        let digest_col_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let col_sum = black_box(col_sum);
-        if row_sum != col_sum {
-            return Err(sip_common::SipError::Exec(format!(
-                "columnar divergence: row digest checksum {row_sum:#x}, columnar {col_sum:#x}"
-            )));
-        }
-
-        // A realistic tap stack over the key column: a Bloom filter keeping
-        // roughly half the key domain, stacked with an exact hash set.
-        let build = |kind: AipSetKind, keys: std::ops::Range<i64>| {
-            let mut b = AipSetBuilder::new(kind, (keys.end - keys.start) as usize, 0.05, 1);
-            for k in keys {
-                let key = vec![Value::Int(k)];
-                b.insert(sip_common::hash_key(&key), &key);
-            }
-            StdArc::new(b.finish())
-        };
-        let chain: Vec<StdArc<InjectedFilter>> = vec![
-            StdArc::new(InjectedFilter::new(
-                "bloom[k]",
-                vec![0],
-                build(AipSetKind::Bloom, 0..key_space / 2),
-            )),
-            StdArc::new(InjectedFilter::new(
-                "hash[k]",
-                vec![0],
-                build(AipSetKind::Hash, 0..key_space / 4),
-            )),
-        ];
-
-        // --- tap-probe: row layout ---
-        let mut kernel = TapKernel::new();
-        let mut row_survivors = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                kernel.begin(chunk.len());
-                kernel.probe_chain(&chain, chunk);
-                row_survivors += kernel.sel().len();
-            }
-        }
-        let tap_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_survivors = black_box(row_survivors) / repeats;
-
-        // --- tap-probe: columnar layout ---
-        let mut col_survivors = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            col_chunks(&mut |chunk| {
-                kernel.begin(chunk.len());
-                kernel.probe_chain_cols(&chain, chunk);
-                col_survivors += kernel.sel().len();
-            });
-        }
-        let tap_col_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let col_survivors = black_box(col_survivors) / repeats;
-        if row_survivors != col_survivors {
-            return Err(sip_common::SipError::Exec(format!(
-                "columnar divergence: row tap kept {row_survivors}, columnar {col_survivors}"
-            )));
-        }
-
-        // --- shuffle-route: row layout (digest + selection-vector dealing,
-        // per-destination batches built from row clones — the ShuffleWrite
-        // row arm's extend_sel) ---
-        let mut route: Vec<SelVec> = (0..dop as usize).map(|_| SelVec::default()).collect();
-        let mut owners: Vec<u32> = Vec::new();
-        let mut buckets: Vec<Vec<Row>> = (0..dop as usize).map(|_| Vec::new()).collect();
-        let mut row_routed = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            for chunk in rows.chunks(batch) {
-                kernel.begin(chunk.len());
-                kernel.probe_chain(&chain, chunk);
-                for s in route.iter_mut() {
-                    s.clear();
-                }
-                {
-                    let d = kernel.digests(chunk, &[0]).digests();
-                    owners.clear();
-                    owners.extend(d.iter().map(|&d| sip_common::hash::partition_of(d, dop)));
-                }
-                for i in kernel.sel().iter() {
-                    route[owners[i as usize] as usize].push(i);
-                }
-                for (b, s) in buckets.iter_mut().zip(route.iter()) {
-                    b.clear();
-                    b.extend(s.iter().map(|i| chunk[i as usize].clone()));
-                    row_routed += b.len();
-                }
-            }
-        }
-        let route_row_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let row_routed = black_box(row_routed) / repeats;
-
-        // --- shuffle-route: columnar layout (shared digest pass, per-
-        // destination column gathers — the ShuffleWrite columnar arm) ---
-        let mut col_routed = 0usize;
-        let t = Instant::now();
-        for _ in 0..repeats {
-            col_chunks(&mut |chunk| {
-                kernel.begin(chunk.len());
-                kernel.probe_chain_cols(&chain, chunk);
-                for s in route.iter_mut() {
-                    s.clear();
-                }
-                {
-                    let d = kernel.digests_cols(chunk, &[0]).digests();
-                    owners.clear();
-                    owners.extend(d.iter().map(|&d| sip_common::hash::partition_of(d, dop)));
-                }
-                for i in kernel.sel().iter() {
-                    route[owners[i as usize] as usize].push(i);
-                }
-                for s in route.iter() {
-                    if !s.is_empty() {
-                        col_routed += black_box(chunk.gather(s.as_slice())).len();
-                    }
-                }
-            });
-        }
-        let route_col_secs = t.elapsed().as_secs_f64() / repeats as f64;
-        let col_routed = black_box(col_routed) / repeats;
-        if row_routed != col_routed {
-            return Err(sip_common::SipError::Exec(format!(
-                "columnar divergence: row route dealt {row_routed}, columnar {col_routed}"
-            )));
-        }
-
-        let mrows = |secs: f64| n_rows as f64 / secs / 1e6;
-        let gbs = |secs: f64| pass_bytes / secs / 1e9;
-        let cell =
-            |name: &str, variant: &str, secs: f64, kept: usize, speedup: Option<f64>| ReportRow {
-                query: name.into(),
-                strategy: variant.into(),
-                secs,
-                ci: 0.0,
-                state_mb: 0.0,
-                rows: kept as u64,
-                extra: match speedup {
-                    Some(s) => format!(
-                        "{:.1} Mrows/s ({:.2} GB/s), speedup {s:.2}x",
-                        mrows(secs),
-                        gbs(secs)
-                    ),
-                    None => format!("{:.1} Mrows/s ({:.2} GB/s)", mrows(secs), gbs(secs)),
-                },
-                ..Default::default()
-            };
-        let mut rows_out = vec![
-            cell("digest", "row", digest_row_secs, n_rows, None),
-            cell(
-                "digest",
-                "columnar",
-                digest_col_secs,
-                n_rows,
-                Some(digest_row_secs / digest_col_secs),
-            ),
-            cell("tap-probe", "row", tap_row_secs, row_survivors, None),
-            cell(
-                "tap-probe",
-                "columnar",
-                tap_col_secs,
-                col_survivors,
-                Some(tap_row_secs / tap_col_secs),
-            ),
-            cell("shuffle-route", "row", route_row_secs, row_routed, None),
-            cell(
-                "shuffle-route",
-                "columnar",
-                route_col_secs,
-                col_routed,
-                Some(route_row_secs / route_col_secs),
-            ),
-        ];
-
-        // --- stream-gen: constant-memory chunked LINEITEM generation ---
-        const STREAM_CHUNK: usize = 8192;
-        for mult in [1.0f64, 4.0] {
-            let sf = self.config.scale_factor * mult;
-            let cfg = sip_data::TpchConfig {
-                scale_factor: sf,
-                seed: self.config.seed,
-                zipf_z: 0.0,
-            };
-            let mut streamed = 0u64;
-            let mut peak_chunk_bytes = 0usize;
-            let t = Instant::now();
-            sip_data::stream_lineitem(&cfg, STREAM_CHUNK, &mut |b| {
-                streamed += b.len() as u64;
-                peak_chunk_bytes = peak_chunk_bytes.max(b.size_bytes());
-                Ok(())
-            })?;
-            let secs = t.elapsed().as_secs_f64();
-            rows_out.push(ReportRow {
-                query: "stream-gen".into(),
-                strategy: format!("sf={sf}"),
-                secs,
-                ci: 0.0,
-                state_mb: peak_chunk_bytes as f64 / 1e6,
-                rows: streamed,
-                extra: format!(
-                    "{:.2} Mrows/s, peak chunk {:.0} KB",
-                    streamed as f64 / secs / 1e6,
-                    peak_chunk_bytes as f64 / 1e3
-                ),
-                ..Default::default()
-            });
-        }
-
-        Ok(FigureReport {
-            id: "columnar".into(),
-            title: format!(
-                "columnar vs row batch layout ({n_rows} rows, batch {batch}, 2-filter tap, \
-dop {dop} routing) + constant-memory streamed generation"
-            ),
-            rows: rows_out,
-            notes: vec![
-                "Both variants are batched; the delta is layout alone. row = Value-enum rows \
-(digest/probe dispatch per value, routed batches built from row clones); columnar = typed \
-column slices (fused NULL flagging, dict-aware string digests, routed batches gathered per \
-column). state_mb on stream-gen cells = peak resident chunk, flat across scale factors."
-                    .into(),
-                "Divergence self-checks: digest checksums, tap survivor counts, and routed row \
-counts must match between layouts or the figure errors."
                     .into(),
             ],
         })
@@ -1784,16 +1062,16 @@ mod tests {
     #[test]
     fn report_json_shape() {
         let r = FigureReport {
-            id: "admit".into(),
+            id: "kernels".into(),
             title: "quote \" and\nnewline".into(),
             rows: vec![ReportRow {
-                query: "admit-build".into(),
-                strategy: "batch".into(),
+                query: "trace-gate".into(),
+                strategy: "gated-off".into(),
                 secs: 0.25,
                 ci: 0.0,
                 state_mb: 0.0,
                 rows: 42,
-                extra: "speedup 2.00x".into(),
+                extra: "bare/this 1.00x".into(),
                 ..Default::default()
             }],
             notes: vec!["n1".into()],
@@ -1801,12 +1079,12 @@ mod tests {
         let cfg = ExperimentConfig::default();
         let j = r.to_json(&cfg);
         for needle in [
-            "\"figure\": \"admit\"",
+            "\"figure\": \"kernels\"",
             "\"title\": \"quote \\\" and\\nnewline\"",
             "\"scale_factor\": 0.05",
             "\"retries\": 0",
-            "\"query\": \"admit-build\"",
-            "\"strategy\": \"batch\"",
+            "\"query\": \"trace-gate\"",
+            "\"strategy\": \"gated-off\"",
             "\"secs\": 0.250000",
             "\"rows\": 42",
             "\"notes\": [\"n1\"]",

@@ -20,8 +20,9 @@ pub struct ExperimentConfig {
     /// Bounded-channel capacity in batches — the backpressure window
     /// (`--channel-capacity` on the repro CLI).
     pub channel_capacity: usize,
-    /// Maximum degree of parallelism swept by the `scaling` benchmark
-    /// (`--dop` on the repro CLI); 1 disables partition parallelism.
+    /// Degree of partition parallelism for the `recovery` figure and the
+    /// profiles (`--dop` on the repro CLI): recovery and the Zipf profile
+    /// run at `max(dop, 2)`, the Q4A profile at 1, 2, 4 up to `dop`.
     pub dop: u32,
     /// Per-query deadline in milliseconds (`--timeout-ms`); `None` = no
     /// deadline. A run past the deadline fails with `deadline exceeded`
@@ -134,63 +135,6 @@ fn accumulate_phases(acc: &mut [f64; N_PHASES], metrics: &sip_engine::ExecMetric
     for (a, n) in acc.iter_mut().zip(metrics.phase_totals()) {
         *a += n as f64 / 1e9;
     }
-}
-
-/// Run one cell `repeats` times at a fixed degree of parallelism.
-///
-/// Returns the summary plus one per-worker metric line per partition of the
-/// final repeat (`aip_probed` / `aip_dropped` per worker), empty when the
-/// serial fallback ran.
-pub fn measure_dop(
-    spec: &QuerySpec,
-    catalog: &Catalog,
-    strategy: Strategy,
-    config: &ExperimentConfig,
-    aip: &AipConfig,
-    delays: &[(&str, DelayModel)],
-    dop: u32,
-) -> Result<(Measurement, Vec<String>)> {
-    let mut secs = Vec::with_capacity(config.repeats);
-    let mut state = Vec::with_capacity(config.repeats);
-    let mut filters = Vec::with_capacity(config.repeats);
-    let mut dropped = Vec::with_capacity(config.repeats);
-    let mut rows = 0u64;
-    let mut phase_secs = [0.0f64; N_PHASES];
-    let mut workers = Vec::new();
-    for _ in 0..config.repeats {
-        let mut opts = config.exec_options()?.with_trace(TraceLevel::Ops);
-        for (name, model) in delays {
-            opts = opts.with_delay(*name, model.clone());
-        }
-        let (out, map) = sip_core::run_query_dop(spec, catalog, strategy, opts, aip, dop)?;
-        secs.push(out.metrics.wall_time.as_secs_f64());
-        state.push(out.metrics.peak_state_mb());
-        filters.push(out.metrics.filters_injected as f64);
-        dropped.push(out.metrics.aip_dropped_total as f64);
-        rows = out.metrics.rows_out;
-        accumulate_phases(&mut phase_secs, &out.metrics);
-        if let Some(map) = map {
-            workers = sip_engine::profile::worker_lines(&out.metrics, &map)
-                .into_iter()
-                .map(|line| format!("dop {dop} {line}"))
-                .collect();
-        }
-    }
-    for p in phase_secs.iter_mut() {
-        *p /= config.repeats.max(1) as f64;
-    }
-    Ok((
-        Measurement {
-            secs_mean: mean(&secs),
-            secs_ci95: ci95(&secs),
-            state_mb: mean(&state),
-            rows,
-            filters: mean(&filters),
-            dropped: mean(&dropped),
-            phase_secs,
-        },
-        workers,
-    ))
 }
 
 pub(crate) fn mean(xs: &[f64]) -> f64 {

@@ -16,7 +16,7 @@ use crate::text;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sip_common::{ColumnarBatch, DataType, Date, Field, Result, Schema, Value};
+use sip_common::{DataType, Date, Field, Result, Schema, Value};
 
 /// Configuration for one generated data set.
 #[derive(Clone, Debug)]
@@ -345,9 +345,7 @@ pub fn lineitem_schema() -> Schema {
 }
 
 /// The coupled `orders` + `lineitem` record generator: one RNG stream,
-/// one order (with 1–7 lines) per call, identical draw order whether the
-/// records are materialized into a catalog or streamed in chunks — so the
-/// streaming path produces bit-identical data to [`generate`].
+/// one order (with 1–7 lines) per call.
 struct OrderGen {
     rng: StdRng,
     base_date: Date,
@@ -483,41 +481,6 @@ fn gen_orders_lineitem(
     )?;
     let lineitem = lines_tb.finish("lineitem", vec![0, 3], lineitem_foreign_keys())?;
     Ok((orders, lineitem))
-}
-
-/// Stream the `lineitem` table as columnar chunks of ~`chunk_rows` rows at
-/// constant memory: records are generated straight into per-chunk column
-/// builders and handed to `sink`, with nothing retained between chunks.
-/// The paired `orders` records are computed (the RNG stream is shared) and
-/// discarded.
-///
-/// Chunks flush at order boundaries, so a chunk can run up to 6 rows past
-/// `chunk_rows`. The concatenation of all chunks is bit-identical to the
-/// `lineitem` table [`generate`] builds for the same config — pinning that
-/// a scale-factor sweep through this path measures the same data the
-/// in-memory catalog would hold.
-pub fn stream_lineitem(
-    config: &TpchConfig,
-    chunk_rows: usize,
-    sink: &mut dyn FnMut(ColumnarBatch) -> Result<()>,
-) -> Result<()> {
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    let n_customers = config.scaled(150_000) as i64;
-    let n_parts = config.scaled(200_000) as i64;
-    let n_suppliers = config.scaled(10_000) as i64;
-    let n_orders = config.scaled(1_500_000) as i64;
-    let mut gen = OrderGen::new(config, n_customers, n_parts, n_suppliers)?;
-    let mut tb = TableBuilder::new(lineitem_schema());
-    for ok in 1..=n_orders {
-        gen.next_order(ok, |lv| tb.push(lv));
-        if tb.len() >= chunk_rows {
-            sink(tb.take_batch())?;
-        }
-    }
-    if !tb.is_empty() {
-        sink(tb.take_batch())?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -664,36 +627,6 @@ mod tests {
             top_share(&skewed),
             top_share(&uniform)
         );
-    }
-
-    #[test]
-    fn streamed_lineitem_matches_generated_table() {
-        let config = TpchConfig {
-            scale_factor: 0.002,
-            seed: 1,
-            zipf_z: 0.0,
-        };
-        let table = generate(&config).unwrap();
-        let want = table.get("lineitem").unwrap();
-        for chunk_rows in [100usize, 1024, 1 << 20] {
-            let mut streamed = Vec::new();
-            stream_lineitem(&config, chunk_rows, &mut |batch| {
-                assert!(
-                    batch.len() <= chunk_rows + 6,
-                    "chunk of {} rows overshoots {} by more than one order",
-                    batch.len(),
-                    chunk_rows
-                );
-                streamed.extend(batch.to_rows());
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(
-                streamed,
-                want.rows(),
-                "streamed lineitem (chunk {chunk_rows}) differs from the catalog table"
-            );
-        }
     }
 
     #[test]

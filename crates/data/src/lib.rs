@@ -14,6 +14,6 @@ pub mod table;
 pub mod text;
 pub mod zipf;
 
-pub use gen::{generate, lineitem_schema, orders_schema, stream_lineitem, TpchConfig};
+pub use gen::{generate, lineitem_schema, orders_schema, TpchConfig};
 pub use table::{Catalog, ColumnStats, ForeignKey, Table, TableBuilder, TableMeta};
 pub use zipf::Zipf;

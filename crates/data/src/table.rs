@@ -296,7 +296,6 @@ fn compute_stats(schema: &Schema, columns: &ColumnarBatch) -> Vec<ColumnStats> {
 pub struct TableBuilder {
     schema: Schema,
     builders: Vec<sip_common::ColumnBuilder>,
-    len: usize,
 }
 
 impl TableBuilder {
@@ -307,11 +306,7 @@ impl TableBuilder {
             .iter()
             .map(|f| sip_common::ColumnBuilder::with_type(f.dtype))
             .collect();
-        TableBuilder {
-            schema,
-            builders,
-            len: 0,
-        }
+        TableBuilder { schema, builders }
     }
 
     /// Append one record. `values` must match the schema width.
@@ -324,42 +319,17 @@ impl TableBuilder {
         for (b, v) in self.builders.iter_mut().zip(values.iter()) {
             b.push(v);
         }
-        self.len += 1;
-    }
-
-    /// Records appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Finish the columns into a [`ColumnarBatch`], leaving the builder
-    /// empty and retyped — the chunk-flush primitive for streaming
-    /// generation.
-    pub fn take_batch(&mut self) -> ColumnarBatch {
-        let fresh: Vec<sip_common::ColumnBuilder> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| sip_common::ColumnBuilder::with_type(f.dtype))
-            .collect();
-        let done = std::mem::replace(&mut self.builders, fresh);
-        self.len = 0;
-        ColumnarBatch::from_columns(done.into_iter().map(|b| b.finish()).collect())
     }
 
     /// Finish into a table with columnar statistics.
     pub fn finish(
-        mut self,
+        self,
         name: impl Into<String>,
         primary_key: Vec<usize>,
         foreign_keys: Vec<ForeignKey>,
     ) -> Result<Table> {
-        let columns = self.take_batch();
+        let columns =
+            ColumnarBatch::from_columns(self.builders.into_iter().map(|b| b.finish()).collect());
         Table::from_columns(name, self.schema, primary_key, foreign_keys, columns)
     }
 }

@@ -19,6 +19,12 @@ use sip_plan::UnionFind;
 use std::fmt;
 use std::sync::Arc;
 
+/// Replicable subtrees estimated at or below this many rows are broadcast
+/// (one instance per partition); larger ones are instantiated once and
+/// *distributed* over a `1 × dop` mesh so the underlying (possibly slow)
+/// source is scanned a single time.
+const BROADCAST_MAX_ROWS: f64 = 1024.0;
+
 /// Why a plan could not be partitioned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartitionError {
@@ -297,14 +303,8 @@ impl Expander<'_> {
 
     /// The partitioning key for a scan: the layout position of the
     /// join-key attribute with the highest class score (ties go to the
-    /// leftmost column). `None` when no key attribute is exposed or the
-    /// table is too small to be worth splitting.
+    /// leftmost column). `None` when no key attribute is exposed.
     fn scan_key(&self, node: &PhysNode) -> Option<usize> {
-        if let PhysKind::Scan { table, .. } = &node.kind {
-            if (table.len() as u64) < self.cfg.min_scan_rows {
-                return None;
-            }
-        }
         node.layout
             .iter()
             .enumerate()
@@ -949,7 +949,7 @@ impl Expander<'_> {
         let rep_rows = self.est.node(rep).rows;
         let s_rows = self.est.node(s_old).rows;
         let out_rows = self.est.node(op).rows;
-        let big = rep_rows > self.cfg.broadcast_max_rows;
+        let big = rep_rows > BROADCAST_MAX_ROWS;
         let semi_probe_replica = is_semi && replica_is_left;
         let (l_rows, r_rows) = if replica_is_left {
             (rep_rows, s_rows)

@@ -23,15 +23,6 @@ pub struct PartitionConfig {
     /// the expander reproduces the PR-1 behaviour: non-co-keyed joins end
     /// the parallel region (merge + serial operator).
     pub shuffle: bool,
-    /// Replicable subtrees estimated at or below this many rows are
-    /// broadcast (one instance per partition); larger ones are instantiated
-    /// once and *distributed* over a `1 × dop` mesh so the underlying
-    /// (possibly slow) source is scanned a single time.
-    pub broadcast_max_rows: f64,
-    /// Scans of tables smaller than this stay replicable even when they
-    /// expose a join-key attribute — partitioning a handful of rows buys
-    /// nothing and costs threads.
-    pub min_scan_rows: u64,
     /// Fan-in of the tree-structured merge tail: every point where `dop`
     /// partition streams rejoin a serial section (the root, partial
     /// aggregates, partial dedups) becomes a tree of `Merge` operators
@@ -51,8 +42,6 @@ impl Default for PartitionConfig {
     fn default() -> Self {
         PartitionConfig {
             shuffle: true,
-            broadcast_max_rows: 1024.0,
-            min_scan_rows: 0,
             merge_fanin: 0,
             cost: CostModel::default(),
         }
